@@ -13,7 +13,8 @@ import (
 // hotpathAsserted maps source files to the functions whose
 // allocation-freedom a benchmark asserts (testing.AllocsPerRun == 0 in
 // BenchmarkSessionMove, BenchmarkSessionStrategies, BenchmarkCacheHitPath/hit,
-// BenchmarkWALAppend/os, BenchmarkArenaNN, and BenchmarkArenaWindow). Every one of them must
+// BenchmarkWALAppend/os, BenchmarkArenaNN, BenchmarkArenaWindow, and
+// BenchmarkTPKNN). Every one of them must
 // carry the //lbsq:hotpath directive so `make vet` guards what the
 // benchmarks measure: an allocation regression on these paths is caught
 // by the analyzer at vet time, not only by the bench smoke.
@@ -28,6 +29,9 @@ var hotpathAsserted = map[string][]string{
 	},
 	filepath.Join("internal", "nn", "nn.go"): {
 		"KNearestInto", "expand",
+	},
+	filepath.Join("internal", "tp", "tp.go"): {
+		"KNN", "nodeLB",
 	},
 	filepath.Join("internal", "rtree", "arena", "arena.go"): {
 		"SearchAppend", "searchAppend", "Visit", "visitSlab",

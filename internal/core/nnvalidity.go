@@ -154,8 +154,6 @@ func InfluenceSetKNNOrdered(ix rtree.Index, q geom.Point, members []rtree.Item, 
 	}
 
 	vp := newVertexPoly(universe.Polygon())
-	seenPairs := make(map[[2]int64]bool)
-	seenObjs := make(map[int64]bool)
 
 	for iter := 0; iter < maxInfluenceIterations; iter++ {
 		vi := vp.nextUnconfirmed(order, q)
@@ -179,18 +177,12 @@ func InfluenceSetKNNOrdered(ix rtree.Index, q geom.Point, members []rtree.Item, 
 		res := tp.KNN(ix, q, u, members, tCap)
 		v.TPQueries++
 
-		key := [2]int64{0, 0}
-		if res.Found {
-			key = [2]int64{res.Obj.ID, res.Member.ID}
-		}
-		if !res.Found || seenPairs[key] {
+		if !res.Found || hasPair(v.Pairs, res.Obj.ID, res.Member.ID) {
 			vp.confirm(vi)
 			continue
 		}
-		seenPairs[key] = true
 		v.Pairs = append(v.Pairs, InfluencePair{Obj: res.Obj, Member: res.Member})
-		if !seenObjs[res.Obj.ID] {
-			seenObjs[res.Obj.ID] = true
+		if !hasItem(v.Influence, res.Obj.ID) {
 			v.Influence = append(v.Influence, res.Obj)
 		}
 		vp.clip(geom.Bisector(res.Member.P, res.Obj.P))
@@ -203,6 +195,28 @@ func InfluenceSetKNNOrdered(ix rtree.Index, q geom.Point, members []rtree.Item, 
 	}
 	v.Region = vp.poly
 	return v, fmt.Errorf("core: influence-set iteration cap reached (degenerate input?)")
+}
+
+// hasPair reports whether pairs already holds the pair (obj, member).
+// A linear scan: a region has tens of pairs at most, and the scan
+// spares every query two maps.
+func hasPair(pairs []InfluencePair, obj, member int64) bool {
+	for _, p := range pairs {
+		if p.Obj.ID == obj && p.Member.ID == member {
+			return true
+		}
+	}
+	return false
+}
+
+// hasItem reports whether items holds an item with the given id.
+func hasItem(items []rtree.Item, id int64) bool {
+	for _, it := range items {
+		if it.ID == id {
+			return true
+		}
+	}
+	return false
 }
 
 // assertRegion checks the Lemma 3.1/3.2 invariants on a completed

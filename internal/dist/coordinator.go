@@ -679,17 +679,22 @@ func (c *Coordinator) Window(ctx context.Context, w geom.Rect) (*core.WindowVali
 		idxs = c.allGroups()
 	}
 	wvs := make([]*core.WindowValidity, len(c.groups))
+	costs := make([]core.QueryCost, len(c.groups))
 	var dead []int
 	runRound := func(round []int) error {
+		// Each group writes only its own slot; the costs are summed
+		// after the scatter has waited for every group.
 		errs, scErr := c.scatterGroups(ctx, round, func(gi int) error {
 			wv, qc, err := callWindow(ctx, c, c.groups[gi], w)
 			if err != nil {
 				return err
 			}
-			wvs[gi] = wv
-			addCost(&cost, qc)
+			wvs[gi], costs[gi] = wv, qc
 			return nil
 		})
+		for _, gi := range round {
+			addCost(&cost, costs[gi])
+		}
 		if scErr != nil {
 			return scErr
 		}

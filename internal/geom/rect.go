@@ -93,10 +93,21 @@ func (r Rect) Intersects(s Rect) bool {
 }
 
 // Intersect returns the intersection of r and s (possibly empty).
+// Plain comparisons instead of math.Max/Min: for the finite coordinates
+// of the index they pick the same value (up to the sign of a zero).
 func (r Rect) Intersect(s Rect) Rect {
-	out := Rect{
-		math.Max(r.MinX, s.MinX), math.Max(r.MinY, s.MinY),
-		math.Min(r.MaxX, s.MaxX), math.Min(r.MaxY, s.MaxY),
+	out := r
+	if s.MinX > out.MinX {
+		out.MinX = s.MinX
+	}
+	if s.MinY > out.MinY {
+		out.MinY = s.MinY
+	}
+	if s.MaxX < out.MaxX {
+		out.MaxX = s.MaxX
+	}
+	if s.MaxY < out.MaxY {
+		out.MaxY = s.MaxY
 	}
 	return out
 }
@@ -109,10 +120,20 @@ func (r Rect) Union(s Rect) Rect {
 	if s.IsEmpty() {
 		return r
 	}
-	return Rect{
-		math.Min(r.MinX, s.MinX), math.Min(r.MinY, s.MinY),
-		math.Max(r.MaxX, s.MaxX), math.Max(r.MaxY, s.MaxY),
+	out := r
+	if s.MinX < out.MinX {
+		out.MinX = s.MinX
 	}
+	if s.MinY < out.MinY {
+		out.MinY = s.MinY
+	}
+	if s.MaxX > out.MaxX {
+		out.MaxX = s.MaxX
+	}
+	if s.MaxY > out.MaxY {
+		out.MaxY = s.MaxY
+	}
+	return out
 }
 
 // ExpandPoint returns the MBR of r and p.
@@ -138,10 +159,23 @@ func (r Rect) MinDist(p Point) float64 {
 	return math.Sqrt(r.MinDist2(p))
 }
 
-// MinDist2 returns the squared minimum distance from p to r.
+// MinDist2 returns the squared minimum distance from p to r. Branches
+// instead of math.Max: the per-axis gap is the same value (up to the
+// sign of a zero, which squaring removes).
 func (r Rect) MinDist2(p Point) float64 {
-	dx := math.Max(0, math.Max(r.MinX-p.X, p.X-r.MaxX))
-	dy := math.Max(0, math.Max(r.MinY-p.Y, p.Y-r.MaxY))
+	var dx, dy float64
+	if d := r.MinX - p.X; d > dx {
+		dx = d
+	}
+	if d := p.X - r.MaxX; d > dx {
+		dx = d
+	}
+	if d := r.MinY - p.Y; d > dy {
+		dy = d
+	}
+	if d := p.Y - r.MaxY; d > dy {
+		dy = d
+	}
 	return dx*dx + dy*dy
 }
 

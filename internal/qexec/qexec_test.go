@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"lbsq/internal/core"
 	"lbsq/internal/dataset"
@@ -265,10 +266,19 @@ func TestCoalescing(t *testing.T) {
 	}
 	started.Wait()
 
-	// Resolve the flight with a manually computed answer.
+	// Resolve the flight with a manually computed answer, but only once
+	// every follower has joined it (a follower counts itself as
+	// coalesced on joining, before it waits): a follower still on its
+	// way when the flight completes would lead a fresh one.
 	want, _, err := local.single.NNQuery(q, 2)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); local.met.coalesced.Value() < followers; {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d followers joined the flight", local.met.coalesced.Value(), followers)
+		}
+		time.Sleep(100 * time.Microsecond)
 	}
 	f.nn = want
 	local.sf.complete(key, f)

@@ -51,7 +51,7 @@ func (t *Tree) chooseSubtree(r geom.Rect, targetLevel int) *Node {
 	n := t.root
 	for n.level > targetLevel {
 		if n.level == 1 {
-			n = chooseLeastOverlapEnlargement(n, r)
+			n = leastOverlapChooser(n, r)
 		} else {
 			n = chooseLeastAreaEnlargement(n, r)
 		}
@@ -74,6 +74,15 @@ func chooseLeastAreaEnlargement(n *Node, r geom.Rect) *Node {
 	return best
 }
 
+// leastOverlapChooser is the level-1 chooser. It is a variable only so
+// the equivalence test can build a tree with its reference copy.
+var leastOverlapChooser = chooseLeastOverlapEnlargement
+
+// chooseLeastOverlapEnlargement picks the child whose growth to cover r
+// adds the least overlap with its siblings. A sibling that does not
+// meet the grown rectangle meets neither it nor the child (grown ⊇
+// child), so its overlap term is exactly 0 − 0 and is skipped: the sum,
+// and so the choice, is the same as summing over every sibling.
 func chooseLeastOverlapEnlargement(n *Node, r geom.Rect) *Node {
 	var best *Node
 	bestOv, bestEnl, bestArea := math.Inf(1), math.Inf(1), math.Inf(1)
@@ -81,7 +90,7 @@ func chooseLeastOverlapEnlargement(n *Node, r geom.Rect) *Node {
 		grown := c.rect.Union(r)
 		ov := 0.0
 		for _, o := range n.children {
-			if o == c {
+			if o == c || !grown.Intersects(o.rect) {
 				continue
 			}
 			ov += grown.Overlap(o.rect) - c.rect.Overlap(o.rect)

@@ -158,6 +158,8 @@ func isMember(members []rtree.Item, id int64) bool {
 // distance d should pass a slightly inflated cap (d·(1+ε)) so crossings
 // landing exactly on the vertex — re-discoveries of known influence
 // objects — are still reported.
+//
+//lbsq:hotpath
 func KNN(ix rtree.Index, q, u geom.Point, members []rtree.Item, tMax float64) Result {
 	if len(members) == 0 || tMax <= 0 {
 		return Result{}
@@ -167,12 +169,12 @@ func KNN(ix rtree.Index, q, u geom.Point, members []rtree.Item, tMax float64) Re
 		return Result{}
 	}
 	sc := scratchPool.Get().(*scratch)
-	memberD2 := sc.d2[:0]
-	memberProj := sc.proj[:0]
+	sc.d2, sc.proj = sc.d2[:0], sc.proj[:0]
 	for _, m := range members {
-		memberD2 = append(memberD2, q.Dist2(m.P))
-		memberProj = append(memberProj, u.Dot(m.P))
+		sc.d2 = append(sc.d2, q.Dist2(m.P))
+		sc.proj = append(sc.proj, u.Dot(m.P))
 	}
+	memberD2, memberProj := sc.d2, sc.proj
 
 	best := Result{T: tMax}
 	h := sc.heap[:0]
@@ -186,13 +188,29 @@ func KNN(ix rtree.Index, q, u geom.Point, members []rtree.Item, tMax float64) Re
 		if ix.RefLeaf(e.ref) {
 			for i, n := 0, ix.RefFanout(e.ref); i < n; i++ {
 				it := ix.RefItem(e.ref, i)
-				if isMember(members, it.ID) {
-					continue
-				}
-				for mi, m := range members {
-					t := crossDistPre(q, u, memberD2[mi], memberProj[mi], it.P)
+				// CrossDist against every member, with the member terms
+				// precomputed and u·a, |qa|² computed once per item. A
+				// crossing that never happens (den ≤ 0, t = +Inf) cannot
+				// pass t < best.T, so it is skipped; the member test runs
+				// only on an improving crossing, and a member is skipped
+				// whole, before it has changed best.
+				ua, qa := u.Dot(it.P), q.Dist2(it.P)
+				for mi := range memberD2 {
+					den := 2 * (ua - memberProj[mi])
+					if den <= 0 {
+						continue
+					}
+					var t float64
+					if num := qa - memberD2[mi]; num <= 0 {
+						t = 0
+					} else {
+						t = num / den
+					}
 					if t < best.T {
-						best = Result{Obj: it, Member: m, T: t, Found: true}
+						if isMember(members, it.ID) {
+							break
+						}
+						best = Result{Obj: it, Member: members[mi], T: t, Found: true}
 					}
 				}
 			}
@@ -205,7 +223,7 @@ func KNN(ix rtree.Index, q, u geom.Point, members []rtree.Item, tMax float64) Re
 			}
 		}
 	}
-	sc.heap, sc.d2, sc.proj = h[:0], memberD2[:0], memberProj[:0]
+	sc.heap = h[:0]
 	scratchPool.Put(sc)
 	if !best.Found {
 		return Result{}
@@ -221,20 +239,6 @@ func NN(ix rtree.Index, q, u geom.Point, o rtree.Item, tMax float64) Result {
 	return KNN(ix, q, u, []rtree.Item{o}, tMax)
 }
 
-// crossDistPre is CrossDist with the member's squared distance and
-// projection precomputed.
-func crossDistPre(q, u geom.Point, oD2, oProj float64, a geom.Point) float64 {
-	den := 2 * (u.Dot(a) - oProj)
-	if den <= 0 {
-		return math.Inf(1)
-	}
-	num := q.Dist2(a) - oD2
-	if num <= 0 {
-		return 0
-	}
-	return num / den
-}
-
 // nodeLB returns a lower bound on the influence distance of any point in
 // the MBR r: for each member o,
 //
@@ -244,14 +248,21 @@ func crossDistPre(q, u geom.Point, oD2, oProj float64, a geom.Point) float64 {
 // linear, so the corner maximum is exact). The bound is conservative —
 // never above the true minimum — which is all the best-first search
 // needs for correctness.
+//
+// The corner maximum is taken per axis: u·c = u.X·c.X + u.Y·c.Y, and
+// rounded addition is monotone in each operand, so the sum of the two
+// per-axis maxima is bit-for-bit the largest of the four corner sums.
+//
+//lbsq:hotpath
 func nodeLB(r geom.Rect, q, u geom.Point, memberD2, memberProj []float64) float64 {
-	corners := r.Corners()
-	maxCorner := math.Inf(-1)
-	for _, c := range corners {
-		if p := u.Dot(c); p > maxCorner {
-			maxCorner = p
-		}
+	px, py := u.X*r.MinX, u.Y*r.MinY
+	if p := u.X * r.MaxX; p > px {
+		px = p
 	}
+	if p := u.Y * r.MaxY; p > py {
+		py = p
+	}
+	maxCorner := px + py
 	mind2 := r.MinDist2(q)
 	lb := math.Inf(1)
 	for i := range memberD2 {
