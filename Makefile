@@ -5,7 +5,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test vet race fuzz-smoke cluster-smoke crash-smoke fmt api api-check
+.PHONY: all build test vet race fuzz-smoke cluster-smoke crash-smoke fmt api api-check loc
 
 all: build vet test
 
@@ -73,3 +73,10 @@ api-check:
 		{ mkdir -p bin && $(GO) run ./cmd/lbsq-apidump -dir . > bin/api.txt.new; }
 	@diff -u docs/api.txt bin/api.txt.new || \
 		{ echo "public API drifted from docs/api.txt; run 'make api' and review the diff" >&2; exit 1; }
+
+# loc prints the prod and test Go line counts by one fixed rule: every
+# tracked .go file outside perfbench/ (a module of its own), split on
+# the _test.go suffix. CHANGES.md takes its net prod-line deltas from it.
+loc:
+	@git ls-files '*.go' | grep -v '^perfbench/' | grep -v '_test\.go$$' | xargs cat | wc -l | awk '{print "prod", $$1}'
+	@git ls-files '*.go' | grep -v '^perfbench/' | grep '_test\.go$$' | xargs cat | wc -l | awk '{print "test", $$1}'

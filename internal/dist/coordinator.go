@@ -3,9 +3,7 @@ package dist
 import (
 	"context"
 	"fmt"
-	"math"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
@@ -109,9 +107,10 @@ func (g *group) ordered() []*replica {
 }
 
 // Coordinator scatter-gathers the full location-based query surface
-// across remote replica groups, running exactly the merge algorithms
-// of shard.Cluster (the same exported helpers) with partial-failure
-// degradation on top. It is safe for concurrent use.
+// across remote replica groups: it runs shard's scatter-gather Executor
+// — the one shard.Cluster runs — with one groupReader part per replica
+// group, and adds partial-failure degradation on top. It is safe for
+// concurrent use.
 type Coordinator struct {
 	opts     Options
 	universe geom.Rect
@@ -265,26 +264,36 @@ func (c *Coordinator) Close() error {
 }
 
 // Seed splits items by ring ownership and bulk-loads each group's
-// slice into all of its replicas. It is the cluster bootstrap used by
-// the -cluster server mode and the test harness.
+// slice into all of its replicas, all groups at once. It is the cluster
+// bootstrap used by the -cluster server mode and the test harness. A
+// failed group does not stop the others; the first error in group order
+// is returned.
 func (c *Coordinator) Seed(ctx context.Context, items []rtree.Item) error {
 	c.wmu.RLock()
 	defer c.wmu.RUnlock()
-	ring := c.currentRing()
-	split, err := ring.Split(items)
+	split, err := c.currentRing().Split(items)
 	if err != nil {
 		return err
 	}
-	//lbsq:allowblock — wmu exists to serialize bootstrap/writes against rebalances; holding it across the scatter is its purpose
-	errs, scErr := c.scatterGroups(ctx, c.allGroups(), func(gi int) error {
-		return c.eachReplicaBulk(ctx, c.groups[gi], func(actx context.Context, r *replica) error {
-			return r.b.Load(actx, split[gi])
-		})
-	})
-	if scErr != nil {
-		return scErr
+	errs := make([]error, len(c.groups))
+	var wg sync.WaitGroup
+	for gi, g := range c.groups {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[gi] = c.eachReplicaBulk(ctx, g, func(actx context.Context, r *replica) error {
+				return r.b.Load(actx, split[gi])
+			})
+		}()
 	}
-	return firstError(errs)
+	//lbsq:allowblock — wmu exists to serialize bootstrap/writes against rebalances; holding it across the load is its purpose
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // eachReplica runs fn against every replica of the group (writes go to
@@ -335,717 +344,159 @@ func (c *Coordinator) observeWrite(r *replica, err error, ctx context.Context) {
 	}
 }
 
-func firstError(errs []error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
+// executor returns the scatter-gather executor over the ring's replica
+// groups: one part per group, reading through a groupReader, with the
+// group's ring tiles as its territory.
+func (c *Coordinator) executor(ring *Ring) *shard.Executor {
+	parts := make([]shard.Part, len(c.groups))
+	for gi, g := range c.groups {
+		parts[gi] = shard.Part{Reader: groupReader{c: c, g: g, ring: ring}, Tiles: ring.Territory(gi)}
 	}
-	return nil
+	return &shard.Executor{Universe: c.universe, Parts: parts, Pool: c.sem}
 }
 
-// allGroups returns every group index.
-func (c *Coordinator) allGroups() []int {
-	out := make([]int, len(c.groups))
-	for i := range out {
-		out[i] = i
-	}
-	return out
+// answer is one request's coordinator answer: the executor's response
+// after degradation, with its status and the dead territory (the tiles
+// of the groups it lost).
+type answer struct {
+	shard.BatchResp
+	st   Status
+	dead []geom.Rect
 }
 
-// scatterGroups runs fn once per group index in idxs in parallel on
-// the bounded pool, collecting per-group errors. Cancelling ctx stops
-// scheduling further groups and is returned as the second value.
-func (c *Coordinator) scatterGroups(ctx context.Context, idxs []int, fn func(gi int) error) ([]error, error) {
-	errs := make([]error, len(c.groups))
-	if len(idxs) == 0 {
-		return errs, ctx.Err()
+// run answers a batch with one executor call against one ring, then
+// finishes every successful answer with degrade.
+func (c *Coordinator) run(ctx context.Context, ring *Ring, reqs []shard.BatchReq) ([]answer, error) {
+	resps, err := c.executor(ring).Run(ctx, reqs)
+	if err != nil {
+		return nil, err
 	}
-	if err := ctx.Err(); err != nil {
-		return errs, err
-	}
-	if len(idxs) == 1 {
-		errs[idxs[0]] = fn(idxs[0])
-		return errs, ctx.Err()
-	}
-	var wg sync.WaitGroup
-	var ctxErr error
-	for _, gi := range idxs {
-		select {
-		case c.sem <- struct{}{}:
-		case <-ctx.Done():
-			ctxErr = ctx.Err()
+	out := make([]answer, len(resps))
+	for i := range resps {
+		out[i] = answer{BatchResp: resps[i], st: Status{RingVersion: ring.Version}}
+		if out[i].Err == nil {
+			c.degrade(ring, reqs[i], &out[i])
 		}
-		if ctxErr != nil {
-			break
-		}
-		gi := gi
-		wg.Add(1)
-		go func() {
-			defer func() { <-c.sem; wg.Done() }()
-			errs[gi] = fn(gi)
-		}()
 	}
-	wg.Wait()
-	if ctxErr == nil {
-		ctxErr = ctx.Err()
-	}
-	return errs, ctxErr
+	return out, nil
 }
 
-// groupsByMinDist orders the groups owning territory by ascending
-// minimum distance from q (exact comparator, ties by index) — the
-// group analogue of Cluster.byMinDist.
-func groupsByMinDist(ring *Ring, q geom.Point) []int {
-	type entry struct {
-		idx int
-		d   float64
+// one answers a single request; a batch-level (context) error lands in
+// the answer's Err.
+func (c *Coordinator) one(ctx context.Context, req shard.BatchReq) answer {
+	ring := c.currentRing()
+	as, err := c.run(ctx, ring, []shard.BatchReq{req})
+	if err != nil {
+		return answer{BatchResp: shard.BatchResp{Err: err}, st: Status{RingVersion: ring.Version}}
 	}
-	var es []entry
-	for g := 0; g < ring.Groups; g++ {
-		if d, ok := ring.MinDist(g, q); ok {
-			es = append(es, entry{g, d})
-		}
-	}
-	sort.Slice(es, func(i, j int) bool {
-		// Exact comparator: tolerant comparison breaks strict weak order.
-		if !geom.ExactEq(es[i].d, es[j].d) {
-			return es[i].d < es[j].d
-		}
-		return es[i].idx < es[j].idx
-	})
-	out := make([]int, len(es))
-	for i, e := range es {
-		out[i] = e.idx
-	}
-	return out
+	return as[0]
 }
 
-// ownedNeighbors drops neighbors whose ring owner is not g — the
-// transient-duplication filter applied while a rebalance is copying
-// items between groups (a no-op in steady state, where every group
-// stores exactly its ring-owned items).
-func ownedNeighbors(ring *Ring, g int, nbs []nn.Neighbor) []nn.Neighbor {
-	out := nbs[:0:0]
-	for _, nb := range nbs {
-		if ring.OwnerGroup(nb.Item.P) == g {
-			out = append(out, nb)
-		}
+// degrade is the step dist adds after the executor. It drops the
+// duplicates a running rebalance can leave in window results and range
+// outer influence, and when the executor lost groups in a phase that
+// only bounds the validity region (BatchResp.Failed) it shrinks the
+// region so no unknown object in their territory could invalidate it:
+// bisector-margin clips for NN (shrinkNNRegion), Minkowski-inflated
+// holes for windows (shrinkWindowRegion), and dead-territory distance
+// guards for ranges (RangeValidity.Valid). The answer is then flagged
+// degraded.
+func (c *Coordinator) degrade(ring *Ring, req shard.BatchReq, a *answer) {
+	if a.Window != nil {
+		a.Window.Result = dedupItems(a.Window.Result)
 	}
-	return out
+	if a.Range != nil {
+		a.Range.OuterInfluence = dedupItems(a.Range.OuterInfluence)
+	}
+	if len(a.Failed) == 0 {
+		return
+	}
+	for _, gi := range a.Failed {
+		a.dead = append(a.dead, ring.Territory(gi)...)
+	}
+	a.st.degrade(a.dead)
+	switch req.Op {
+	case shard.BatchNN:
+		members := make([]rtree.Item, len(a.NN.Neighbors))
+		for i, nb := range a.NN.Neighbors {
+			members[i] = nb.Item
+		}
+		for _, t := range a.dead {
+			a.NN.Region = shrinkNNRegion(a.NN.Region, req.Q, members, t)
+		}
+		c.met.degraded["nn"].Inc()
+	case shard.BatchWindow:
+		shrinkWindowRegion(a.Window, a.dead)
+		c.met.degraded["window"].Inc()
+	case shard.BatchRange:
+		c.met.degraded["range"].Inc()
+	}
 }
 
-// ownedItems is ownedNeighbors for bare items.
-func ownedItems(ring *Ring, g int, items []rtree.Item) []rtree.Item {
-	out := items[:0:0]
-	for _, it := range items {
-		if ring.OwnerGroup(it.P) == g {
-			out = append(out, it)
-		}
-	}
-	return out
-}
-
-// dedupItems drops repeated ids, keeping first occurrences in order.
-func dedupItems(items []rtree.Item) []rtree.Item {
-	seen := make(map[int64]bool, len(items))
-	out := items[:0:0]
-	for _, it := range items {
-		if !seen[it.ID] {
-			seen[it.ID] = true
-			out = append(out, it)
-		}
-	}
-	return out
-}
-
-// NN answers a location-based k-NN query: the scatter-gather of
-// Cluster.NNQueryCtx over replica groups. The result phase (candidate
+// NN answers a location-based k-NN query. The result phase (candidate
 // gathering) fails hard when a needed group is unreachable; influence-
 // phase failures degrade the answer instead (the region is shrunk by
 // shrinkNNRegion per dead territory rectangle, and the wrapper's Valid
 // accounts for the unknown objects).
 func (c *Coordinator) NN(ctx context.Context, q geom.Point, k int) (*NNValidity, core.QueryCost, Status, error) {
-	var cost core.QueryCost
-	ring := c.currentRing()
-	st := Status{RingVersion: ring.Version}
-	if k < 1 {
-		return nil, cost, st, fmt.Errorf("shard: k must be ≥ 1")
+	a := c.one(ctx, shard.BatchReq{Op: shard.BatchNN, Q: q, K: k})
+	if a.Err != nil {
+		return nil, a.Cost, a.st, a.Err
 	}
-	order := groupsByMinDist(ring, q)
-	if len(order) == 0 {
-		return nil, cost, st, fmt.Errorf("dist: no group owns territory")
-	}
-
-	// Result phase: owner group inline, then fan out to groups within
-	// the owner's k-th distance.
-	found := make([][]nn.Neighbor, len(c.groups))
-	costs := make([]shard.Cost, len(c.groups))
-	knn := func(gi int) error {
-		nbs, cc, err := callKNN(ctx, c, c.groups[gi], q, k)
-		if err != nil {
-			return err
-		}
-		found[gi] = ownedNeighbors(ring, gi, nbs)
-		costs[gi] = cc
-		return nil
-	}
-	ownerG := order[0]
-	if err := knn(ownerG); err != nil {
-		return nil, cost, st, fmt.Errorf("dist: nn result phase, group %d: %w", ownerG, err)
-	}
-	cost.ResultNA += costs[ownerG].NA
-	cost.ResultPA += costs[ownerG].PA
-	du := math.Inf(1)
-	if first := found[ownerG]; len(first) >= k {
-		du = first[k-1].Dist
-	}
-	var rest []int
-	for _, gi := range order[1:] {
-		if d, ok := ring.MinDist(gi, q); ok && d <= du+geom.Eps*(1+du) {
-			rest = append(rest, gi)
-		}
-	}
-	errs, scErr := c.scatterGroups(ctx, rest, knn)
-	for _, gi := range rest {
-		cost.ResultNA += costs[gi].NA
-		cost.ResultPA += costs[gi].PA
-	}
-	if scErr != nil {
-		return nil, cost, st, scErr
-	}
-	for _, gi := range rest {
-		if errs[gi] != nil {
-			return nil, cost, st, fmt.Errorf("dist: nn result phase, group %d: %w", gi, errs[gi])
-		}
-	}
-	nbs := shard.MergeNeighborParts(found)
-	if len(nbs) < k {
-		return nil, cost, st, fmt.Errorf("core: dataset has fewer than %d points", k)
-	}
-	nbs = nbs[:k]
-	members := make([]rtree.Item, k)
-	for i, nb := range nbs {
-		members[i] = nb.Item
-	}
-	dk := nbs[k-1].Dist
-
-	// Influence phase: owner group inline first to shrink the region,
-	// then the groups within reach. Failures here degrade.
-	m := shard.NewNNMerger(c.universe, q, k, nbs)
-	var dead []int
-	part, ic, err := callInfluence(ctx, c, c.groups[ownerG], q, members)
-	cost.InfNA += ic.NA
-	cost.InfPA += ic.PA
-	if err != nil {
-		if ctx.Err() != nil {
-			return nil, cost, st, ctx.Err()
-		}
-		dead = append(dead, ownerG)
-	} else {
-		m.Add(part)
-	}
-	if reach, ok := m.Reach(q, dk); ok {
-		var irest []int
-		for _, gi := range order[1:] {
-			if d, dok := ring.MinDist(gi, q); dok && d <= reach+geom.Eps*(1+reach) {
-				irest = append(irest, gi)
-			}
-		}
-		parts := make([]*core.NNValidity, len(c.groups))
-		ierrs, scErr := c.scatterGroups(ctx, irest, func(gi int) error {
-			p, cc, err := callInfluence(ctx, c, c.groups[gi], q, members)
-			parts[gi], costs[gi] = p, cc
-			return err
-		})
-		for _, gi := range irest {
-			cost.InfNA += costs[gi].NA
-			cost.InfPA += costs[gi].PA
-		}
-		if scErr != nil {
-			return nil, cost, st, scErr
-		}
-		for _, gi := range irest {
-			if ierrs[gi] != nil {
-				dead = append(dead, gi)
-				continue
-			}
-			m.Add(parts[gi])
-		}
-	}
-	v := m.Finish()
-	out := &NNValidity{NNValidity: v}
-	for _, gi := range dead {
-		terr := ring.Territory(gi)
-		st.degrade(terr)
-		out.Dead = append(out.Dead, terr...)
-		for _, t := range terr {
-			v.Region = shrinkNNRegion(v.Region, q, members, t)
-		}
-	}
-	if st.Degraded {
-		c.met.degraded["nn"].Inc()
-	}
-	return out, cost, st, nil
-}
-
-func callKNN(ctx context.Context, c *Coordinator, g *group, q geom.Point, k int) ([]nn.Neighbor, shard.Cost, error) {
-	type res struct {
-		nbs []nn.Neighbor
-		c   shard.Cost
-	}
-	r, err := call(ctx, c, g, func(ctx context.Context, b shard.Backend) (res, error) {
-		nbs, cc, err := b.KNNCandidates(ctx, q, k)
-		return res{nbs, cc}, err
-	})
-	return r.nbs, r.c, err
-}
-
-func callInfluence(ctx context.Context, c *Coordinator, g *group, q geom.Point, members []rtree.Item) (*core.NNValidity, shard.Cost, error) {
-	type res struct {
-		part *core.NNValidity
-		c    shard.Cost
-	}
-	r, err := call(ctx, c, g, func(ctx context.Context, b shard.Backend) (res, error) {
-		part, cc, err := b.Influence(ctx, q, members)
-		return res{part, cc}, err
-	})
-	return r.part, r.c, err
+	return &NNValidity{NNValidity: a.NN, Dead: a.dead}, a.Cost, a.st, nil
 }
 
 // KNearest is the plain k-NN result phase (no validity region). Any
 // unreachable needed group fails the query.
 func (c *Coordinator) KNearest(ctx context.Context, q geom.Point, k int) ([]nn.Neighbor, error) {
-	if k < 1 {
-		return nil, nil
-	}
-	ring := c.currentRing()
-	order := groupsByMinDist(ring, q)
-	if len(order) == 0 {
-		return nil, fmt.Errorf("dist: no group owns territory")
-	}
-	found := make([][]nn.Neighbor, len(c.groups))
-	knn := func(gi int) error {
-		nbs, _, err := callKNN(ctx, c, c.groups[gi], q, k)
-		if err != nil {
-			return err
-		}
-		found[gi] = ownedNeighbors(ring, gi, nbs)
-		return nil
-	}
-	ownerG := order[0]
-	if err := knn(ownerG); err != nil {
-		return nil, fmt.Errorf("dist: knn, group %d: %w", ownerG, err)
-	}
-	du := math.Inf(1)
-	if first := found[ownerG]; len(first) >= k {
-		du = first[k-1].Dist
-	}
-	var rest []int
-	for _, gi := range order[1:] {
-		if d, ok := ring.MinDist(gi, q); ok && d <= du+geom.Eps*(1+du) {
-			rest = append(rest, gi)
-		}
-	}
-	errs, scErr := c.scatterGroups(ctx, rest, knn)
-	if scErr != nil {
-		return nil, scErr
-	}
-	for _, gi := range rest {
-		if errs[gi] != nil {
-			return nil, fmt.Errorf("dist: knn, group %d: %w", gi, errs[gi])
-		}
-	}
-	nbs := shard.MergeNeighborParts(found)
-	if len(nbs) > k {
-		nbs = nbs[:k]
-	}
-	return nbs, nil
+	a := c.one(ctx, shard.BatchReq{Op: shard.BatchKNN, Q: q, K: k})
+	return a.Neighbors, a.Err
 }
 
-// Window answers a location-based window query: the scatter-gather of
-// Cluster.WindowQueryCtx over replica groups. A failed group whose
+// Window answers a location-based window query. A failed group whose
 // territory intersects the window fails the query (its result points
 // are unknown); a failed group outside the window degrades the answer
 // — the merged region loses the Minkowski inflation of the dead
 // territory, excluding every focus whose window could reach it.
 func (c *Coordinator) Window(ctx context.Context, w geom.Rect) (*core.WindowValidity, core.QueryCost, Status, error) {
-	var cost core.QueryCost
-	ring := c.currentRing()
-	st := Status{RingVersion: ring.Version}
-	qx, qy := w.Width(), w.Height()
-	idxs := ring.Overlapping(w.Inflate(qx, qy))
-	if len(idxs) == 0 {
-		idxs = c.allGroups()
+	a := c.one(ctx, shard.BatchReq{Op: shard.BatchWindow, W: w})
+	if a.Err != nil {
+		return nil, a.Cost, a.st, a.Err
 	}
-	wvs := make([]*core.WindowValidity, len(c.groups))
-	costs := make([]core.QueryCost, len(c.groups))
-	var dead []int
-	runRound := func(round []int) error {
-		// Each group writes only its own slot; the costs are summed
-		// after the scatter has waited for every group.
-		errs, scErr := c.scatterGroups(ctx, round, func(gi int) error {
-			wv, qc, err := callWindow(ctx, c, c.groups[gi], w)
-			if err != nil {
-				return err
-			}
-			wvs[gi], costs[gi] = wv, qc
-			return nil
-		})
-		for _, gi := range round {
-			addCost(&cost, costs[gi])
-		}
-		if scErr != nil {
-			return scErr
-		}
-		for _, gi := range round {
-			if errs[gi] == nil {
-				continue
-			}
-			if territoryIntersects(ring, gi, w) {
-				return fmt.Errorf("dist: window result phase, group %d: %w", gi, errs[gi])
-			}
-			dead = append(dead, gi)
-		}
-		return nil
-	}
-	if err := runRound(idxs); err != nil {
-		return nil, cost, st, err
-	}
-	if windowResultCount(wvs) == 0 && len(idxs) < len(c.groups) {
-		// Empty result: the untouched groups bound the validity region
-		// via their nearest points — fan out to the complement.
-		queried := make(map[int]bool, len(idxs))
-		for _, gi := range idxs {
-			queried[gi] = true
-		}
-		var restIdx []int
-		for gi := range c.groups {
-			if !queried[gi] {
-				restIdx = append(restIdx, gi)
-			}
-		}
-		if err := runRound(restIdx); err != nil {
-			return nil, cost, st, err
-		}
-	}
-	merged := shard.MergeWindowParts(c.universe, w, wvs)
-	merged.Result = dedupItems(merged.Result)
-	if len(dead) > 0 {
-		var terr []geom.Rect
-		for _, gi := range dead {
-			terr = append(terr, ring.Territory(gi)...)
-		}
-		st.degrade(terr)
-		shrinkWindowRegion(merged, terr)
-		c.met.degraded["window"].Inc()
-	}
-	return merged, cost, st, nil
+	return a.Window, a.Cost, a.st, nil
 }
 
-func callWindow(ctx context.Context, c *Coordinator, g *group, w geom.Rect) (*core.WindowValidity, core.QueryCost, error) {
-	type res struct {
-		wv *core.WindowValidity
-		qc core.QueryCost
-	}
-	r, err := call(ctx, c, g, func(ctx context.Context, b shard.Backend) (res, error) {
-		wv, qc, err := b.Window(ctx, w)
-		return res{wv, qc}, err
-	})
-	return r.wv, r.qc, err
-}
-
-func addCost(dst *core.QueryCost, src core.QueryCost) {
-	dst.ResultNA += src.ResultNA
-	dst.ResultPA += src.ResultPA
-	dst.InfNA += src.InfNA
-	dst.InfPA += src.InfPA
-}
-
-func territoryIntersects(ring *Ring, g int, w geom.Rect) bool {
-	for _, t := range ring.Territory(g) {
-		if t.Intersects(w) {
-			return true
-		}
-	}
-	return false
-}
-
-func windowResultCount(wvs []*core.WindowValidity) int {
-	n := 0
-	for _, wv := range wvs {
-		if wv != nil {
-			n += len(wv.Result)
-		}
-	}
-	return n
-}
-
-// Range answers a location-based range query: the scatter-gather of
-// Cluster.RangeQueryCtx over replica groups. The result phase and the
+// Range answers a location-based range query. The result phase and the
 // empty-result nearest-point fallback fail hard on unreachable groups;
 // outer-influence scan failures degrade (the wrapper's Valid rejects
 // foci within Radius of dead territory).
 func (c *Coordinator) Range(ctx context.Context, center geom.Point, radius float64) (*RangeValidity, core.QueryCost, Status, error) {
-	var cost core.QueryCost
-	ring := c.currentRing()
-	st := Status{RingVersion: ring.Version}
-	rv := &core.RangeValidity{Center: center, Radius: radius}
-	out := &RangeValidity{RangeValidity: rv}
-	if radius <= 0 {
-		return out, cost, st, nil
+	a := c.one(ctx, shard.BatchReq{Op: shard.BatchRange, Q: center, Radius: radius})
+	if a.Err != nil {
+		return nil, a.Cost, a.st, a.Err
 	}
-
-	// Phase 1: the result.
-	bb := geom.RectCenteredAt(center, 2*radius, 2*radius)
-	idxs := ring.Overlapping(bb)
-	found := make([][]rtree.Item, len(c.groups))
-	costs := make([]shard.Cost, len(c.groups))
-	errs, scErr := c.scatterGroups(ctx, idxs, func(gi int) error {
-		items, cc, err := callRangeScan(ctx, c, c.groups[gi], center, radius)
-		if err != nil {
-			return err
-		}
-		found[gi] = ownedItems(ring, gi, items)
-		costs[gi] = cc
-		return nil
-	})
-	for _, gi := range idxs {
-		rv.Result = append(rv.Result, found[gi]...)
-		cost.ResultNA += costs[gi].NA
-		cost.ResultPA += costs[gi].PA
-	}
-	if scErr != nil {
-		return nil, cost, st, scErr
-	}
-	for _, gi := range idxs {
-		if errs[gi] != nil {
-			return nil, cost, st, fmt.Errorf("dist: range result phase, group %d: %w", gi, errs[gi])
-		}
-	}
-
-	if len(rv.Result) == 0 {
-		// Conservative disk bounded by the globally nearest point.
-		dists := make([]float64, len(c.groups))
-		errs, scErr := c.scatterGroups(ctx, c.allGroups(), func(gi int) error {
-			nb, ok, cc, err := callNearest(ctx, c, c.groups[gi], center)
-			if err != nil {
-				return err
-			}
-			costs[gi] = cc
-			if ok {
-				dists[gi] = nb.Dist
-			} else {
-				dists[gi] = math.Inf(1)
-			}
-			return nil
-		})
-		d := math.Inf(1)
-		for gi := range c.groups {
-			cost.ResultNA += costs[gi].NA
-			cost.ResultPA += costs[gi].PA
-			if errs[gi] == nil && dists[gi] < d {
-				d = dists[gi]
-			}
-		}
-		if scErr != nil {
-			return nil, cost, st, scErr
-		}
-		if err := firstError(errs); err != nil {
-			return nil, cost, st, fmt.Errorf("dist: range fallback: %w", err)
-		}
-		if math.IsInf(d, 1) {
-			return out, cost, st, nil // empty cluster: valid everywhere
-		}
-		rv.Inner.Add(geom.Disk{C: center, R: math.Max(0, d-radius)})
-		return out, cost, st, nil
-	}
-
-	// Inner region from the merged global result, then phase 2. The
-	// result-membership set crosses the wire as an id list so remote
-	// shards can run the same outer scan the single server does.
-	shard.RangeInnerRegion(rv)
-	exclude := make([]int64, 0, len(rv.Result))
-	for _, it := range rv.Result {
-		exclude = append(exclude, it.ID)
-	}
-	search := shard.RangeOuterSearchRect(rv.Inner.Disks, rv.Radius)
-	idxs = ring.Overlapping(search)
-	outerParts := make([][]rtree.Item, len(c.groups))
-	cands := make([]int, len(c.groups))
-	errs, scErr = c.scatterGroups(ctx, idxs, func(gi int) error {
-		items, n, cc, err := callRangeOuter(ctx, c, c.groups[gi], search, rv.Inner.Disks, rv.Radius, exclude)
-		if err != nil {
-			return err
-		}
-		outerParts[gi], cands[gi], costs[gi] = items, n, cc
-		return nil
-	})
-	var dead []int
-	for _, gi := range idxs {
-		rv.OuterInfluence = append(rv.OuterInfluence, outerParts[gi]...)
-		rv.CandidateOuter += cands[gi]
-		cost.ResultNA += costs[gi].NA
-		cost.ResultPA += costs[gi].PA
-	}
-	if scErr != nil {
-		return nil, cost, st, scErr
-	}
-	for _, gi := range idxs {
-		if errs[gi] != nil {
-			dead = append(dead, gi)
-		}
-	}
-	rv.OuterInfluence = dedupItems(rv.OuterInfluence)
-	sort.Slice(rv.OuterInfluence, func(a, b int) bool {
-		return rv.OuterInfluence[a].ID < rv.OuterInfluence[b].ID
-	})
-	for _, gi := range dead {
-		terr := ring.Territory(gi)
-		st.degrade(terr)
-		out.Dead = append(out.Dead, terr...)
-	}
-	if st.Degraded {
-		c.met.degraded["range"].Inc()
-	}
-	return out, cost, st, nil
+	return &RangeValidity{RangeValidity: a.Range, Dead: a.dead}, a.Cost, a.st, nil
 }
 
-func callRangeScan(ctx context.Context, c *Coordinator, g *group, center geom.Point, radius float64) ([]rtree.Item, shard.Cost, error) {
-	type res struct {
-		items []rtree.Item
-		c     shard.Cost
-	}
-	r, err := call(ctx, c, g, func(ctx context.Context, b shard.Backend) (res, error) {
-		items, cc, err := b.RangeScan(ctx, center, radius)
-		return res{items, cc}, err
-	})
-	return r.items, r.c, err
-}
-
-func callNearest(ctx context.Context, c *Coordinator, g *group, q geom.Point) (nn.Neighbor, bool, shard.Cost, error) {
-	type res struct {
-		nb net
-		c  shard.Cost
-	}
-	r, err := call(ctx, c, g, func(ctx context.Context, b shard.Backend) (res, error) {
-		nb, ok, cc, err := b.Nearest(ctx, q)
-		return res{net{nb, ok}, cc}, err
-	})
-	return r.nb.nb, r.nb.ok, r.c, err
-}
-
-// net pairs a neighbor with its found flag for generic transport.
-type net struct {
-	nb nn.Neighbor
-	ok bool
-}
-
-func callRangeOuter(ctx context.Context, c *Coordinator, g *group, search geom.Rect, inner []geom.Disk, radius float64, exclude []int64) ([]rtree.Item, int, shard.Cost, error) {
-	type res struct {
-		items []rtree.Item
-		n     int
-		c     shard.Cost
-	}
-	r, err := call(ctx, c, g, func(ctx context.Context, b shard.Backend) (res, error) {
-		items, n, cc, err := b.RangeOuter(ctx, search, inner, radius, exclude)
-		return res{items, n, cc}, err
-	})
-	return r.items, r.n, r.c, err
-}
-
-// RouteNN answers a continuous-NN route query: every group computes
-// its local CNN partition and the coordinator folds them with
-// shard.MergeCNN. A route answer cannot be conservatively shrunk — an
-// unreachable group fails the query.
+// RouteNN answers a continuous-NN route query. A route answer cannot be
+// conservatively shrunk — an unreachable group fails the query.
 func (c *Coordinator) RouteNN(ctx context.Context, a, b geom.Point) ([]tp.CNNInterval, Status, error) {
-	ring := c.currentRing()
-	st := Status{RingVersion: ring.Version}
-	parts := make([][]tp.CNNInterval, len(c.groups))
-	errs, scErr := c.scatterGroups(ctx, c.allGroups(), func(gi int) error {
-		ivs, _, err := callRoute(ctx, c, c.groups[gi], a, b)
-		parts[gi] = ivs
-		return err
-	})
-	if scErr != nil {
-		return nil, st, scErr
-	}
-	if err := firstError(errs); err != nil {
-		return nil, st, fmt.Errorf("dist: route: %w", err)
-	}
-	var merged []tp.CNNInterval
-	for _, p := range parts {
-		merged = shard.MergeCNN(merged, p, a, b)
-	}
-	return merged, st, nil
+	ans := c.one(ctx, shard.BatchReq{Op: shard.BatchRoute, Q: a, To: b})
+	return ans.Route, ans.st, ans.Err
 }
 
-func callRoute(ctx context.Context, c *Coordinator, g *group, a, b geom.Point) ([]tp.CNNInterval, shard.Cost, error) {
-	type res struct {
-		ivs []tp.CNNInterval
-		c   shard.Cost
-	}
-	r, err := call(ctx, c, g, func(ctx context.Context, bk shard.Backend) (res, error) {
-		ivs, cc, err := bk.Route(ctx, a, b)
-		return res{ivs, cc}, err
-	})
-	return r.ivs, r.c, err
-}
-
-// Count sums the window count over the overlapping groups. During a
-// rebalance the count can transiently include moving items twice;
-// unreachable groups fail the query (a count cannot be shrunk).
+// Count sums the window count over the overlapping groups; unreachable
+// groups fail the query (a count cannot be shrunk).
 func (c *Coordinator) Count(ctx context.Context, w geom.Rect) (int, error) {
-	ring := c.currentRing()
-	idxs := ring.Overlapping(w)
-	counts := make([]int, len(c.groups))
-	errs, scErr := c.scatterGroups(ctx, idxs, func(gi int) error {
-		n, err := call(ctx, c, c.groups[gi], func(ctx context.Context, b shard.Backend) (int, error) {
-			return b.CountWindow(ctx, w)
-		})
-		counts[gi] = n
-		return err
-	})
-	if scErr != nil {
-		return 0, scErr
-	}
-	if err := firstError(errs); err != nil {
-		return 0, fmt.Errorf("dist: count: %w", err)
-	}
-	total := 0
-	for _, gi := range idxs {
-		total += counts[gi]
-	}
-	return total, nil
+	a := c.one(ctx, shard.BatchReq{Op: shard.BatchCount, W: w})
+	return a.Count, a.Err
 }
 
 // SearchItems gathers the items inside w from the overlapping groups
 // (group order, tree order within each group).
 func (c *Coordinator) SearchItems(ctx context.Context, w geom.Rect) ([]rtree.Item, error) {
-	ring := c.currentRing()
-	idxs := ring.Overlapping(w)
-	found := make([][]rtree.Item, len(c.groups))
-	errs, scErr := c.scatterGroups(ctx, idxs, func(gi int) error {
-		items, err := call(ctx, c, c.groups[gi], func(ctx context.Context, b shard.Backend) ([]rtree.Item, error) {
-			return b.SearchItems(ctx, w)
-		})
-		if err != nil {
-			return err
-		}
-		found[gi] = ownedItems(ring, gi, items)
-		return nil
-	})
-	if scErr != nil {
-		return nil, scErr
-	}
-	if err := firstError(errs); err != nil {
-		return nil, fmt.Errorf("dist: search: %w", err)
-	}
-	var out []rtree.Item
-	for _, gi := range idxs {
-		out = append(out, found[gi]...)
-	}
-	return out, nil
+	a := c.one(ctx, shard.BatchReq{Op: shard.BatchSearch, W: w})
+	return a.Items, a.Err
 }
 
 // Insert routes the point to its ring owner group and writes it to
@@ -1086,44 +537,28 @@ func (c *Coordinator) Delete(ctx context.Context, it rtree.Item) (bool, error) {
 	return present, err
 }
 
-// Batch answers the requests sequentially through the coordinator's
-// query surface, mapping per-request failures into Response.Err like
-// the local batch executor does.
+// Batch answers the requests with one executor call — grouped rounds,
+// one task per group per round — mapping per-request failures into
+// Response.Err like the local batch executor does. Every answer and
+// status equals the one the request gets on its own.
 func (c *Coordinator) Batch(ctx context.Context, reqs []qexec.Request) ([]qexec.Response, []Status, error) {
-	out := make([]qexec.Response, len(reqs))
-	sts := make([]Status, len(reqs))
-	for i, rq := range reqs {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
+	breqs := make([]shard.BatchReq, len(reqs))
+	for i, r := range reqs {
+		breqs[i] = shard.BatchReq{Op: shard.BatchOp(r.Op), Q: r.Q, K: r.K, W: r.W, Radius: r.Radius}
+	}
+	as, err := c.run(ctx, c.currentRing(), breqs)
+	if err != nil {
+		return nil, nil, err
+	}
+	out := make([]qexec.Response, len(as))
+	sts := make([]Status, len(as))
+	for i, a := range as {
+		out[i] = qexec.Response{
+			NN: a.NN, Neighbors: a.Neighbors, Window: a.Window,
+			Range: a.Range, Count: a.Count, Items: a.Items,
+			Cost: a.Cost, Err: a.Err,
 		}
-		switch rq.Op {
-		case qexec.OpNN:
-			v, cost, st, err := c.NN(ctx, rq.Q, rq.K)
-			out[i].Cost, sts[i], out[i].Err = cost, st, err
-			if v != nil {
-				out[i].NN = v.NNValidity
-			}
-		case qexec.OpKNN:
-			nbs, err := c.KNearest(ctx, rq.Q, rq.K)
-			out[i].Neighbors, out[i].Err = nbs, err
-		case qexec.OpWindow:
-			wv, cost, st, err := c.Window(ctx, rq.W)
-			out[i].Window, out[i].Cost, sts[i], out[i].Err = wv, cost, st, err
-		case qexec.OpRange:
-			v, cost, st, err := c.Range(ctx, rq.Q, rq.Radius)
-			out[i].Cost, sts[i], out[i].Err = cost, st, err
-			if v != nil {
-				out[i].Range = v.RangeValidity
-			}
-		case qexec.OpCount:
-			n, err := c.Count(ctx, rq.W)
-			out[i].Count, out[i].Err = n, err
-		case qexec.OpSearch:
-			items, err := c.SearchItems(ctx, rq.W)
-			out[i].Items, out[i].Err = items, err
-		default:
-			out[i].Err = fmt.Errorf("dist: unknown batch op %d", rq.Op)
-		}
+		sts[i] = a.st
 	}
 	return out, sts, nil
 }

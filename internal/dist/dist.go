@@ -1,7 +1,8 @@
 // Package dist turns the sharded scatter-gather layer into a networked
-// multi-node cluster: a Coordinator runs the exact merge algorithms of
-// internal/shard against remote lbsq-server processes reached through
-// the shard.Backend interface over the v1 HTTP wire protocol.
+// multi-node cluster: a Coordinator runs internal/shard's scatter-gather
+// executor with one part per replica group, whose reads are hedged calls
+// to remote lbsq-server processes reached through the shard.Backend
+// interface over the v1 HTTP wire protocol.
 //
 // Placement is a versioned ring mapping a fixed grid of universe
 // partitions to replica groups, either by consistent hashing (64
@@ -16,12 +17,13 @@
 // Partial failures never produce an overclaiming answer. A query phase
 // that determines the result set (k-NN candidates, window/range result
 // gathering, routes, counts) fails hard when a needed group is
-// unreachable. A failure confined to the influence phase degrades
-// instead: the merged validity region is shrunk so that no unknown
-// object in the unreachable group's territory could invalidate it —
-// bisector-margin clips for NN regions, Minkowski-inflated holes for
-// window regions, dead-territory distance guards for range regions —
-// and the response is flagged degraded, never served as fully valid.
+// unreachable. A failure confined to a phase that only bounds the
+// validity region (the executor's BatchResp.Failed) degrades instead:
+// the merged validity region is shrunk so that no unknown object in the
+// unreachable group's territory could invalidate it — bisector-margin
+// clips for NN regions, Minkowski-inflated holes for window regions,
+// dead-territory distance guards for range regions — and the response
+// is flagged degraded, never served as fully valid.
 package dist
 
 import (

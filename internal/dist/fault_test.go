@@ -20,9 +20,11 @@ import (
 	"testing"
 	"time"
 
+	"lbsq/internal/core"
 	"lbsq/internal/dist"
 	"lbsq/internal/geom"
 	"lbsq/internal/obs"
+	"lbsq/internal/qexec"
 	"lbsq/internal/shard"
 )
 
@@ -577,4 +579,180 @@ func TestFaultMatchScopesRule(t *testing.T) {
 	if got.Valid(geom.Point{X: 150, Y: 150}) {
 		t.Fatalf("degraded answer with the whole universe dead claims validity")
 	}
+}
+
+// TestRangeFallbackCostCountsEachProbe fails one group's nearest-point
+// probe on a range query with an empty result. The query fails, and its
+// cost must be the result phase plus the probes that succeeded: the
+// failed group's result-phase cost is counted once, and its failed
+// probe not at all.
+func TestRangeFallbackCostCountsEachProbe(t *testing.T) {
+	universe := geom.Rect{MinX: 0, MinY: 0, MaxX: 600, MaxY: 600}
+	items := testItems(40, 21, universe) // sparse: small ranges come back empty
+	addrs := startSeededNodes(t, items, universe, 3, 1)
+	ft := dist.NewFaultTransport(&dist.HTTPTransport{})
+	c := newCoordinator(t, addrs, universe, func(o *dist.Options) { o.Transport = ft })
+	ctx := context.Background()
+	ring := c.Ring()
+
+	// Local twins of the data nodes (same partition, same bulk load)
+	// price each primitive.
+	parts, err := shard.Partitions(items, universe, 3, shard.Grid)
+	if err != nil {
+		t.Fatalf("partitions: %v", err)
+	}
+	twins := make([]*shard.LocalBackend, len(parts))
+	for g, p := range parts {
+		twins[g] = shard.NewLocalBackend(newSingle(p.Items, universe))
+	}
+
+	rng := rand.New(rand.NewSource(5))
+	for try := 0; try < 200; try++ {
+		center := randPoint(rng, universe)
+		radius := 5 + 20*rng.Float64()
+		scanned := ring.Overlapping(geom.RectCenteredAt(center, 2*radius, 2*radius))
+		if len(scanned) == 0 {
+			continue
+		}
+		var want core.QueryCost
+		hits := 0
+		for _, g := range scanned {
+			found, cost, err := twins[g].RangeScan(ctx, center, radius)
+			if err != nil {
+				t.Fatalf("twin range scan: %v", err)
+			}
+			hits += len(found)
+			want.ResultNA += cost.NA
+			want.ResultPA += cost.PA
+		}
+		if hits > 0 {
+			continue
+		}
+		victim := scanned[0]
+		for g := range twins {
+			if g == victim {
+				continue
+			}
+			_, _, cost, err := twins[g].Nearest(ctx, center)
+			if err != nil {
+				t.Fatalf("twin nearest: %v", err)
+			}
+			want.ResultNA += cost.NA
+			want.ResultPA += cost.PA
+		}
+
+		ft.Set(addrs[victim], dist.Fault{Drop: true, Match: `"op":"nearest"`})
+		_, got, _, err := c.Range(ctx, center, radius)
+		if err == nil {
+			t.Fatalf("Range(%v,%g) with a failed nearest probe: want error", center, radius)
+		}
+		if got != want {
+			t.Fatalf("Range(%v,%g) fallback cost %+v, want result phase plus successful probes %+v", center, radius, got, want)
+		}
+		return
+	}
+	t.Fatal("no empty-result range query found")
+}
+
+// TestBatchWithDeadGroupMatchesSingleRequests kills one group and sends
+// a mixed batch: each request's answer, error and status must equal
+// what the request gets on its own, whether it failed, degraded or
+// stayed exact.
+func TestBatchWithDeadGroupMatchesSingleRequests(t *testing.T) {
+	universe := geom.Rect{MinX: 0, MinY: 0, MaxX: 600, MaxY: 600}
+	items := testItems(150, 23, universe)
+	addrs := startSeededNodes(t, items, universe, 3, 1)
+	ft := dist.NewFaultTransport(&dist.HTTPTransport{})
+	c := newCoordinator(t, addrs, universe, func(o *dist.Options) { o.Transport = ft })
+	ctx := context.Background()
+	ft.Set(addrs[1], dist.Fault{Drop: true})
+
+	rng := rand.New(rand.NewSource(29))
+	var reqs []qexec.Request
+	for i := 0; i < 60; i++ {
+		q := randPoint(rng, universe)
+		switch i % 6 {
+		case 0:
+			reqs = append(reqs, qexec.Request{Op: qexec.OpNN, Q: q, K: 1 + rng.Intn(4)})
+		case 1:
+			reqs = append(reqs, qexec.Request{Op: qexec.OpKNN, Q: q, K: 1 + rng.Intn(4)})
+		case 2:
+			reqs = append(reqs, qexec.Request{Op: qexec.OpWindow, W: geom.RectCenteredAt(q, 10+40*rng.Float64(), 10+40*rng.Float64())})
+		case 3:
+			reqs = append(reqs, qexec.Request{Op: qexec.OpRange, Q: q, Radius: 5 + 40*rng.Float64()})
+		case 4:
+			reqs = append(reqs, qexec.Request{Op: qexec.OpCount, W: randWindow(rng, universe)})
+		default:
+			reqs = append(reqs, qexec.Request{Op: qexec.OpSearch, W: randWindow(rng, universe)})
+		}
+	}
+	resps, sts, err := c.Batch(ctx, reqs)
+	if err != nil {
+		t.Fatalf("batch: %v", err)
+	}
+	failed, degraded, exact := 0, 0, 0
+	for i, rq := range reqs {
+		want, wantSt := oneRequest(ctx, t, c, rq)
+		if !reflect.DeepEqual(resps[i], want) {
+			t.Fatalf("batch[%d] op %d:\n got %+v\nwant %+v", i, rq.Op, resps[i], want)
+		}
+		if !reflect.DeepEqual(sts[i], wantSt) {
+			t.Fatalf("batch[%d] op %d status:\n got %+v\nwant %+v", i, rq.Op, sts[i], wantSt)
+		}
+		switch {
+		case want.Err != nil:
+			failed++
+		case wantSt.Degraded:
+			degraded++
+		default:
+			exact++
+		}
+	}
+	if failed == 0 || degraded == 0 || exact == 0 {
+		t.Fatalf("batch outcomes failed=%d degraded=%d exact=%d: want every kind", failed, degraded, exact)
+	}
+}
+
+// oneRequest answers rq through the coordinator's single-query surface,
+// shaped like a batch response. The plain k-NN, count and search calls
+// report no cost or status; their batch cost is the executor's, and
+// their status is the undegraded one.
+func oneRequest(ctx context.Context, t *testing.T, c *dist.Coordinator, rq qexec.Request) (qexec.Response, dist.Status) {
+	t.Helper()
+	st := dist.Status{RingVersion: c.Ring().Version}
+	var r qexec.Response
+	switch rq.Op {
+	case qexec.OpNN:
+		v, cost, vst, err := c.NN(ctx, rq.Q, rq.K)
+		r, st = qexec.Response{Cost: cost, Err: err}, vst
+		if v != nil {
+			r.NN = v.NNValidity
+		}
+	case qexec.OpKNN:
+		r.Neighbors, r.Err = c.KNearest(ctx, rq.Q, rq.K)
+		r.Cost = batchCost(ctx, t, c, rq)
+	case qexec.OpWindow:
+		r.Window, r.Cost, st, r.Err = c.Window(ctx, rq.W)
+	case qexec.OpRange:
+		v, cost, vst, err := c.Range(ctx, rq.Q, rq.Radius)
+		r, st = qexec.Response{Cost: cost, Err: err}, vst
+		if v != nil {
+			r.Range = v.RangeValidity
+		}
+	case qexec.OpCount:
+		r.Count, r.Err = c.Count(ctx, rq.W)
+	case qexec.OpSearch:
+		r.Items, r.Err = c.SearchItems(ctx, rq.W)
+	}
+	return r, st
+}
+
+// batchCost is the cost a one-request batch reports for rq.
+func batchCost(ctx context.Context, t *testing.T, c *dist.Coordinator, rq qexec.Request) core.QueryCost {
+	t.Helper()
+	resps, _, err := c.Batch(ctx, []qexec.Request{rq})
+	if err != nil {
+		t.Fatalf("one-request batch: %v", err)
+	}
+	return resps[0].Cost
 }

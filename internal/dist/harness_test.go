@@ -130,6 +130,26 @@ func sortItems(items []rtree.Item) []rtree.Item {
 	return out
 }
 
+// oracleCount is the oracle cluster's window count.
+func oracleCount(t testing.TB, oracle *shard.Cluster, w geom.Rect) int {
+	t.Helper()
+	n, err := oracle.CountWindowCtx(context.Background(), w)
+	if err != nil {
+		t.Fatalf("oracle count: %v", err)
+	}
+	return n
+}
+
+// oracleSearch is the oracle cluster's window enumeration.
+func oracleSearch(t testing.TB, oracle *shard.Cluster, w geom.Rect) []rtree.Item {
+	t.Helper()
+	items, err := oracle.SearchItemsCtx(context.Background(), w)
+	if err != nil {
+		t.Fatalf("oracle search: %v", err)
+	}
+	return items
+}
+
 // TestCoordinatorMatchesCluster is the core parity property: a
 // coordinator over three remote data nodes answers every query type
 // exactly — DeepEqual on validity objects and costs — like the
@@ -157,6 +177,7 @@ func coordinatorParity(t *testing.T, nodes, replicas int) {
 	if err != nil {
 		t.Fatalf("oracle: %v", err)
 	}
+	single := newSingle(items, universe)
 
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 60; i++ {
@@ -181,6 +202,7 @@ func coordinatorParity(t *testing.T, nodes, replicas int) {
 			if !reflect.DeepEqual(cost, wcost) {
 				t.Fatalf("NN(%v,%d) cost mismatch: got %+v want %+v", q, k, cost, wcost)
 			}
+			checkSingleNN(t, single, q, k, got.NNValidity)
 		case 1:
 			w := randWindow(rng, universe)
 			got, cost, st, err := c.Window(ctx, w)
@@ -200,6 +222,7 @@ func coordinatorParity(t *testing.T, nodes, replicas int) {
 			if !reflect.DeepEqual(cost, wcost) {
 				t.Fatalf("Window(%v) cost mismatch: got %+v want %+v", w, cost, wcost)
 			}
+			checkSingleWindow(t, single, w, got)
 		case 2:
 			radius := (0.01 + 0.08*rng.Float64()) * universe.Width()
 			got, cost, st, err := c.Range(ctx, q, radius)
@@ -219,6 +242,7 @@ func coordinatorParity(t *testing.T, nodes, replicas int) {
 			if !reflect.DeepEqual(cost, wcost) {
 				t.Fatalf("Range(%v,%g) cost mismatch: got %+v want %+v", q, radius, cost, wcost)
 			}
+			checkSingleRange(t, single, q, radius, got.RangeValidity)
 		case 3:
 			b := randPoint(rng, universe)
 			got, st, err := c.RouteNN(ctx, q, b)
@@ -235,6 +259,7 @@ func coordinatorParity(t *testing.T, nodes, replicas int) {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("RouteNN(%v,%v) mismatch:\n got %+v\nwant %+v", q, b, got, want)
 			}
+			checkSingleRoute(t, single, q, b, got)
 		case 4:
 			got, err := c.KNearest(ctx, q, k)
 			if err != nil {
@@ -247,20 +272,27 @@ func coordinatorParity(t *testing.T, nodes, replicas int) {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("KNearest(%v,%d) mismatch: got %+v want %+v", q, k, got, want)
 			}
+			checkSingleKNN(t, single, q, k, got)
 			w := randWindow(rng, universe)
 			gn, err := c.Count(ctx, w)
 			if err != nil {
 				t.Fatalf("Count(%v): %v", w, err)
 			}
-			if wn := oracle.CountWindow(w); gn != wn {
+			if wn := oracleCount(t, oracle, w); gn != wn {
 				t.Fatalf("Count(%v): got %d want %d", w, gn, wn)
+			}
+			if sn := single.Tree.CountWindow(w); gn != sn {
+				t.Fatalf("Count(%v): got %d, single server %d", w, gn, sn)
 			}
 			gi, err := c.SearchItems(ctx, w)
 			if err != nil {
 				t.Fatalf("SearchItems(%v): %v", w, err)
 			}
-			if gs, ws := sortItems(gi), sortItems(oracle.SearchItems(w)); !reflect.DeepEqual(gs, ws) {
+			if gs, ws := sortItems(gi), sortItems(oracleSearch(t, oracle, w)); !reflect.DeepEqual(gs, ws) {
 				t.Fatalf("SearchItems(%v): got %v want %v", w, gs, ws)
+			}
+			if !sameIDs(gi, single.Tree.SearchItems(w)) {
+				t.Fatalf("SearchItems(%v): got %v, single server %v", w, ids(gi), ids(single.Tree.SearchItems(w)))
 			}
 		}
 	}
@@ -279,6 +311,7 @@ func TestCoordinatorBatchMatchesCluster(t *testing.T) {
 	if err != nil {
 		t.Fatalf("oracle: %v", err)
 	}
+	single := newSingle(items, universe)
 
 	rng := rand.New(rand.NewSource(11))
 	q1, q2, q3 := randPoint(rng, universe), randPoint(rng, universe), randPoint(rng, universe)
@@ -337,12 +370,23 @@ func TestCoordinatorBatchMatchesCluster(t *testing.T) {
 	if !reflect.DeepEqual(resps[3].Range, wantRange) {
 		t.Fatalf("batch range mismatch:\n got %+v\nwant %+v", resps[3].Range, wantRange)
 	}
-	if want := oracle.CountWindow(w2); resps[4].Count != want {
+	if want := oracleCount(t, oracle, w2); resps[4].Count != want {
 		t.Fatalf("batch count: got %d want %d", resps[4].Count, want)
 	}
-	gs, ws := sortItems(resps[5].Items), sortItems(oracle.SearchItems(w2))
+	gs, ws := sortItems(resps[5].Items), sortItems(oracleSearch(t, oracle, w2))
 	if !reflect.DeepEqual(gs, ws) {
 		t.Fatalf("batch search mismatch: got %v want %v", gs, ws)
+	}
+
+	checkSingleNN(t, single, q1, 3, resps[0].NN)
+	checkSingleKNN(t, single, q2, 2, resps[1].Neighbors)
+	checkSingleWindow(t, single, w1, resps[2].Window)
+	checkSingleRange(t, single, q3, 60, resps[3].Range)
+	if sn := single.Tree.CountWindow(w2); resps[4].Count != sn {
+		t.Fatalf("batch count: got %d, single server %d", resps[4].Count, sn)
+	}
+	if !sameIDs(resps[5].Items, single.Tree.SearchItems(w2)) {
+		t.Fatalf("batch search: got %v, single server %v", ids(resps[5].Items), ids(single.Tree.SearchItems(w2)))
 	}
 }
 
@@ -578,7 +622,7 @@ func TestCoordinatorWritesVisible(t *testing.T) {
 	if err != nil {
 		t.Fatalf("search: %v", err)
 	}
-	if !reflect.DeepEqual(sortItems(all), sortItems(oracle.SearchItems(universe))) {
+	if !reflect.DeepEqual(sortItems(all), sortItems(oracleSearch(t, oracle, universe))) {
 		t.Fatalf("contents diverge from oracle after writes")
 	}
 }

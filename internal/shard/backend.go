@@ -13,20 +13,20 @@ import (
 	"lbsq/internal/tp"
 )
 
-// Backend is the per-shard primitive surface the scatter-gather
-// algorithms are built from. It is exactly the set of shard-local tasks
-// Cluster runs against its in-process nodes, lifted to an interface so
-// a distributed coordinator (internal/dist) can run the same merge
-// logic against remote processes: the result phase of each query maps
-// to one primitive, the influence phase to another, and all global
-// decisions (pruning radii, merged regions, bisector clips) stay at the
-// coordinator.
+// Reader is the read half of the per-shard primitive surface: the
+// shard-local tasks the scatter-gather Executor is built from. The
+// result phase of each query maps to one primitive, the influence phase
+// to another, and all global decisions (pruning radii, merged regions,
+// bisector clips) stay in the Executor. A LocalBackend serves them from
+// an in-process tree; internal/dist serves them from a remote replica
+// group.
 //
 // Every method takes a context first; implementations must honor
 // cancellation (a remote backend propagates it as request cancellation,
-// a local backend checks it before touching the tree). Methods are safe
-// for concurrent use.
-type Backend interface {
+// a local backend checks it before touching the tree). On error a
+// method returns the cost already paid and zero values for everything
+// else. Methods are safe for concurrent use.
+type Reader interface {
 	// KNNCandidates returns the backend's k nearest neighbors of q in
 	// (distance, id) order — the NN result-phase primitive.
 	KNNCandidates(ctx context.Context, q geom.Point, k int) ([]nn.Neighbor, Cost, error)
@@ -34,28 +34,35 @@ type Backend interface {
 	// against this backend's tree (core.InfluenceSetKNN) — the NN
 	// influence-phase primitive. Only Pairs and TPQueries of the
 	// returned part are meaningful; the merged region is rebuilt by the
-	// coordinator from the pairs.
+	// Executor from the pairs.
 	Influence(ctx context.Context, q geom.Point, members []rtree.Item) (*core.NNValidity, Cost, error)
 	// Window runs the full single-server window algorithm on this
-	// backend's tree — per-shard window parts merge by MergeWindowParts.
+	// backend's tree — per-shard window parts merge by mergeWindowParts.
 	Window(ctx context.Context, w geom.Rect) (*core.WindowValidity, core.QueryCost, error)
 	// RangeScan returns the backend's items within radius of center —
 	// the range result-phase primitive.
 	RangeScan(ctx context.Context, center geom.Point, radius float64) ([]rtree.Item, Cost, error)
-	// RangeOuter runs the range influence-phase scan (RangeOuterScan)
-	// with the global inner disks and radius; exclude lists the ids of
-	// the global result (never outer influence).
+	// RangeOuter runs the range influence-phase scan with the global
+	// inner disks and radius: the items in search whose disks can reach
+	// the inner region, and the count of candidates examined; exclude
+	// lists the ids of the global result (never outer influence).
 	RangeOuter(ctx context.Context, search geom.Rect, inner []geom.Disk, radius float64, exclude []int64) (outer []rtree.Item, cands int, c Cost, err error)
 	// Nearest returns the backend's single nearest neighbor of q; ok is
 	// false for an empty backend.
 	Nearest(ctx context.Context, q geom.Point) (nb nn.Neighbor, ok bool, c Cost, err error)
 	// Route computes the backend-local continuous-NN partition of the
-	// segment a→b (tp.CNN); partitions merge by MergeCNN.
+	// segment a→b (tp.CNN); partitions merge by mergeCNN.
 	Route(ctx context.Context, a, b geom.Point) ([]tp.CNNInterval, Cost, error)
 	// CountWindow counts the backend's items inside w.
 	CountWindow(ctx context.Context, w geom.Rect) (int, error)
 	// SearchItems returns the backend's items inside w in tree order.
 	SearchItems(ctx context.Context, w geom.Rect) ([]rtree.Item, error)
+}
+
+// Backend is one shard as a whole: the Reader primitives plus the
+// writes and housekeeping a data node serves over the shard RPC.
+type Backend interface {
+	Reader
 	// Insert adds one point; Delete removes one, reporting presence.
 	Insert(ctx context.Context, it rtree.Item) error
 	Delete(ctx context.Context, it rtree.Item) (bool, error)
@@ -166,7 +173,10 @@ func (b *LocalBackend) Influence(ctx context.Context, q geom.Point, members []rt
 	if rerr != nil {
 		return nil, c, rerr
 	}
-	return part, c, err
+	if err != nil {
+		return nil, c, err
+	}
+	return part, c, nil
 }
 
 // Window implements Backend.
@@ -192,15 +202,33 @@ func (b *LocalBackend) RangeScan(ctx context.Context, center geom.Point, radius 
 	return found, c, err
 }
 
-// RangeOuter implements Backend.
+// RangeOuter implements Backend: it scans the tree for candidate
+// outer points whose disks can reach the inner region, filtering with
+// the same global lower bound (the farthest single inner disk) as the
+// single server.
 func (b *LocalBackend) RangeOuter(ctx context.Context, search geom.Rect, inner []geom.Disk, radius float64, exclude []int64) (outer []rtree.Item, cands int, c Cost, err error) {
+	inResult := make(map[int64]bool, len(exclude))
+	for _, id := range exclude {
+		inResult[id] = true
+	}
 	err = b.read(ctx, func() {
 		na0, pa0 := b.Srv.Tree.NodeAccesses(), b.faults()
-		inResult := make(map[int64]bool, len(exclude))
-		for _, id := range exclude {
-			inResult[id] = true
-		}
-		outer, cands = RangeOuterScan(b.Srv.Tree, search, inner, radius, inResult)
+		b.Srv.Tree.Search(search, func(it rtree.Item) bool {
+			if inResult[it.ID] {
+				return true
+			}
+			cands++
+			lb := 0.0
+			for _, d := range inner {
+				if sl := it.P.Dist(d.C) - d.R; sl > lb {
+					lb = sl
+				}
+			}
+			if lb < radius {
+				outer = append(outer, it)
+			}
+			return true
+		})
 		c = b.delta(na0, pa0)
 	})
 	return outer, cands, c, err
@@ -321,16 +349,32 @@ func (b *LocalBackend) Unload(ctx context.Context, items []rtree.Item) error {
 }
 
 // Stats implements Backend.
-func (b *LocalBackend) Stats(ctx context.Context) (st BackendStats, err error) {
-	err = b.read(ctx, func() {
-		st = BackendStats{
-			Count:        b.Srv.Tree.Len(),
-			Epoch:        b.epoch.Load(),
-			Universe:     b.Srv.Universe,
-			NodeAccesses: b.Srv.Tree.NodeAccesses(),
-		}
-	})
-	return st, err
+func (b *LocalBackend) Stats(ctx context.Context) (BackendStats, error) {
+	if err := ctx.Err(); err != nil {
+		return BackendStats{}, err
+	}
+	return b.stats(), nil
+}
+
+// stats snapshots the backend's statistics under the read lock.
+func (b *LocalBackend) stats() BackendStats {
+	b.Mu.RLock()
+	defer b.Mu.RUnlock()
+	return BackendStats{
+		Count:        b.Srv.Tree.Len(),
+		Epoch:        b.epoch.Load(),
+		Universe:     b.Srv.Universe,
+		NodeAccesses: b.Srv.Tree.NodeAccesses(),
+	}
+}
+
+// bufferStats reports the page buffer's hits and faults; ok is false
+// for an unbuffered backend.
+func (b *LocalBackend) bufferStats() (hits, faults int64, ok bool) {
+	if b.Srv.Buffer == nil {
+		return 0, 0, false
+	}
+	return b.Srv.Buffer.Hits(), b.Srv.Buffer.Faults(), true
 }
 
 // Close implements Backend (no resources to release locally).

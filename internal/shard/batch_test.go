@@ -2,11 +2,15 @@ package shard
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"lbsq/internal/core"
 	"lbsq/internal/geom"
+	"lbsq/internal/nn"
+	"lbsq/internal/rtree"
 )
 
 // randomBatch draws a mixed batch of every request kind, including
@@ -40,13 +44,16 @@ func randomBatch(rng *rand.Rand, cfg equivConfig, n int) []BatchReq {
 
 // TestBatchEquivalence: every response of a mixed batch is deeply equal
 // to the corresponding per-query scatter answer — results, validity
-// regions, influence sets, error presence, and access costs.
+// regions, influence sets, error presence, and access costs — and
+// equivalent to the single server's answer over all items. Both come
+// from the one executor, so the single server is the independent
+// oracle.
 func TestBatchEquivalence(t *testing.T) {
 	ctx := context.Background()
 	for _, cfg := range equivConfigs() {
 		cfg := cfg
 		t.Run(cfg.name, func(t *testing.T) {
-			_, c := buildPair(t, cfg)
+			single, c := buildPair(t, cfg)
 			rng := rand.New(rand.NewSource(707))
 			for round := 0; round < 12; round++ {
 				reqs := randomBatch(rng, cfg, 1+rng.Intn(24))
@@ -59,6 +66,7 @@ func TestBatchEquivalence(t *testing.T) {
 				}
 				for i, req := range reqs {
 					checkBatchResp(t, c, req, resps[i])
+					checkSingle(t, single, req, resps[i])
 				}
 			}
 		})
@@ -88,7 +96,10 @@ func checkBatchResp(t *testing.T, c *Cluster, req BatchReq, got BatchResp) {
 			t.Fatalf("NN q=%v k=%d: per-query cost %+v, batched %+v", req.Q, req.K, wantCost, got.Cost)
 		}
 	case BatchKNN:
-		want := c.KNearest(req.Q, req.K)
+		want, err := c.KNearestCtx(context.Background(), req.Q, req.K)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !reflect.DeepEqual(want, got.Neighbors) {
 			t.Fatalf("kNN q=%v k=%d: per-query %v, batched %v", req.Q, req.K, want, got.Neighbors)
 		}
@@ -112,15 +123,127 @@ func checkBatchResp(t *testing.T, c *Cluster, req BatchReq, got BatchResp) {
 			t.Fatalf("range q=%v r=%g: per-query cost %+v, batched %+v", req.Q, req.Radius, wantCost, got.Cost)
 		}
 	case BatchCount:
-		if want := c.CountWindow(req.W); want != got.Count {
+		want, err := c.CountWindowCtx(context.Background(), req.W)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want != got.Count {
 			t.Fatalf("count %v: per-query %d, batched %d", req.W, want, got.Count)
 		}
 	case BatchSearch:
-		want := sortedIDs(c.SearchItems(req.W))
+		items, err := c.SearchItemsCtx(context.Background(), req.W)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := sortedIDs(items)
 		if !sameIDs(want, sortedIDs(got.Items)) {
 			t.Fatalf("search %v: per-query %d items, batched %d", req.W, len(want), len(got.Items))
 		}
 	}
+}
+
+// checkSingle compares one sharded answer with the single server's
+// answer over all items (sharded ≡ single server). Results and range
+// answers must be equal. Regions must be equal in area (bisector clips
+// run in another order, so vertices may differ in the last bit), and
+// the window inner rectangle exactly. The single server's influence
+// sets are minimal, while a shard reports the influence objects of its
+// own larger local region: every single-server influence object must
+// be in the sharded set, and the sharded window outer set must carve
+// the single server's region out of its inner rectangle.
+func checkSingle(t *testing.T, single *core.Server, req BatchReq, got BatchResp) {
+	t.Helper()
+	switch req.Op {
+	case BatchNN:
+		want, _, wantErr := single.NNQuery(req.Q, req.K)
+		if (wantErr == nil) != (got.Err == nil) {
+			t.Fatalf("NN q=%v k=%d: single err=%v, sharded err=%v", req.Q, req.K, wantErr, got.Err)
+		}
+		if wantErr != nil {
+			return
+		}
+		if !sameIDs(sortedIDs(want.Result()), sortedIDs(got.NN.Result())) {
+			t.Fatalf("NN q=%v k=%d: single result %v, sharded %v", req.Q, req.K, sortedIDs(want.Result()), sortedIDs(got.NN.Result()))
+		}
+		if !containsIDs(got.NN.Influence, want.Influence) {
+			t.Fatalf("NN q=%v k=%d: sharded influence %v misses single %v", req.Q, req.K, sortedIDs(got.NN.Influence), sortedIDs(want.Influence))
+		}
+		if a, b := want.Region.Area(), got.NN.Region.Area(); !sameArea(a, b) {
+			t.Fatalf("NN q=%v k=%d: single region area %g, sharded %g", req.Q, req.K, a, b)
+		}
+	case BatchKNN:
+		var want []rtree.Item
+		for _, nb := range nn.KNearest(single.Tree, req.Q, req.K) {
+			want = append(want, nb.Item)
+		}
+		var gotItems []rtree.Item
+		for _, nb := range got.Neighbors {
+			gotItems = append(gotItems, nb.Item)
+		}
+		if !sameIDs(sortedIDs(want), sortedIDs(gotItems)) {
+			t.Fatalf("kNN q=%v k=%d: single %v, sharded %v", req.Q, req.K, sortedIDs(want), sortedIDs(gotItems))
+		}
+	case BatchWindow:
+		want, _ := single.WindowQuery(req.W)
+		wv := got.Window
+		if !sameIDs(sortedIDs(want.Result), sortedIDs(wv.Result)) {
+			t.Fatalf("window %v: single result %d items, sharded %d", req.W, len(want.Result), len(wv.Result))
+		}
+		if want.InnerRect != wv.InnerRect {
+			t.Fatalf("window %v: single inner rect %v, sharded %v", req.W, want.InnerRect, wv.InnerRect)
+		}
+		if a, b := want.Region.Area(), wv.Region.Area(); !sameArea(a, b) {
+			t.Fatalf("window %v: single region area %g, sharded %g", req.W, a, b)
+		}
+		if !containsIDs(wv.InnerInfluence, want.InnerInfluence) {
+			t.Fatalf("window %v: sharded inner influence misses single %v", req.W, sortedIDs(want.InnerInfluence))
+		}
+		carved := geom.NewRectRegion(want.InnerRect)
+		for _, it := range wv.OuterInfluence {
+			carved.Subtract(geom.RectCenteredAt(it.P, req.W.Width(), req.W.Height()))
+		}
+		if a, b := want.Region.Area(), carved.Area(); !sameArea(a, b) {
+			t.Fatalf("window %v: sharded outer influence carves area %g, single region %g", req.W, b, a)
+		}
+	case BatchRange:
+		want, _ := single.RangeQuery(req.Q, req.Radius)
+		rv := got.Range
+		if !sameIDs(sortedIDs(want.Result), sortedIDs(rv.Result)) ||
+			!sameIDs(sortedIDs(want.InnerInfluence), sortedIDs(rv.InnerInfluence)) ||
+			!sameIDs(sortedIDs(want.OuterInfluence), sortedIDs(rv.OuterInfluence)) {
+			t.Fatalf("range q=%v r=%g: single and sharded result or influence sets differ", req.Q, req.Radius)
+		}
+		if !reflect.DeepEqual(want.Inner, rv.Inner) {
+			t.Fatalf("range q=%v r=%g: single inner region %v, sharded %v", req.Q, req.Radius, want.Inner, rv.Inner)
+		}
+	case BatchCount:
+		if want := single.Tree.CountWindow(req.W); want != got.Count {
+			t.Fatalf("count %v: single %d, sharded %d", req.W, want, got.Count)
+		}
+	case BatchSearch:
+		if want := sortedIDs(single.Tree.SearchItems(req.W)); !sameIDs(want, sortedIDs(got.Items)) {
+			t.Fatalf("search %v: single %d items, sharded %d", req.W, len(want), len(got.Items))
+		}
+	}
+}
+
+// containsIDs reports whether every item of sub is in set (by id).
+func containsIDs(set, sub []rtree.Item) bool {
+	in := make(map[int64]bool, len(set))
+	for _, it := range set {
+		in[it.ID] = true
+	}
+	for _, it := range sub {
+		if !in[it.ID] {
+			return false
+		}
+	}
+	return true
+}
+
+// sameArea compares two region areas with a relative tolerance.
+func sameArea(a, b float64) bool {
+	return math.Abs(a-b) <= 1e-9*(1+math.Abs(a))
 }
 
 // TestBatchCancellation: a cancelled context aborts the batch with the

@@ -4,15 +4,13 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"lbsq/internal/core"
 	"lbsq/internal/geom"
+	"lbsq/internal/nn"
 	"lbsq/internal/obs"
 	"lbsq/internal/rtree"
+	"lbsq/internal/tp"
 )
 
 // Options configures a Cluster.
@@ -38,27 +36,11 @@ type Options struct {
 	Registry *obs.Registry
 }
 
-// node is one shard: a responsibility rectangle plus its own query
-// server. The RWMutex serializes tree mutation against queries on this
-// shard only, so writes to one shard do not block queries on others.
-type node struct {
-	mu   sync.RWMutex
-	resp geom.Rect
-	srv  *core.Server
-}
-
-// faults returns the shard buffer's fault count (0 when unbuffered).
-func (s *node) faults() int64 {
-	if s.srv.Buffer == nil {
-		return 0
-	}
-	return s.srv.Buffer.Faults()
-}
-
 // Cluster is a sharded location-based query processor: it owns one
-// core.Server per spatial partition and answers the full query surface
-// by scatter-gather, merging per-shard results and intersecting their
-// validity regions. It implements core.QueryEngine.
+// LocalBackend per spatial partition and answers the full query surface
+// by running the scatter-gather Executor over them, merging per-shard
+// results and intersecting their validity regions. It implements
+// core.QueryEngine.
 //
 // Cluster is safe for concurrent use. Queries on disjoint shards
 // proceed fully in parallel; Insert/Delete lock only the owning shard.
@@ -67,12 +49,11 @@ func (s *node) faults() int64 {
 type Cluster struct {
 	Universe geom.Rect
 
-	shards []*node
-	sem    chan struct{} // bounded scatter worker pool
+	shards []*LocalBackend
+	exec   *Executor // one part per shard, tile = responsibility rectangle
 
-	reg   *obs.Registry
-	met   *clusterMetrics
-	tasks atomic.Int64 // shard tasks executed, ever (trace attribution)
+	reg *obs.Registry
+	met *clusterMetrics
 }
 
 // Stats describes one shard for monitoring (the /info endpoint).
@@ -99,20 +80,23 @@ func NewCluster(items []rtree.Item, universe geom.Rect, opts Options) (*Cluster,
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	c := &Cluster{Universe: universe, sem: make(chan struct{}, workers)}
+	c := &Cluster{Universe: universe, exec: &Executor{Universe: universe, Pool: make(chan struct{}, workers)}}
 	for _, p := range parts {
 		tree := rtree.BulkLoad(p.Items, rtree.Options{PageSize: opts.PageSize}, opts.BulkLoadFill)
 		srv := core.NewServer(tree, universe)
 		if opts.BufferFraction > 0 {
 			srv.AttachBuffer(opts.BufferFraction)
 		}
-		c.shards = append(c.shards, &node{resp: p.Resp, srv: srv})
+		b := NewLocalBackend(srv)
+		c.shards = append(c.shards, b)
+		c.exec.Parts = append(c.exec.Parts, Part{Reader: b, Tiles: []geom.Rect{p.Resp}})
 	}
 	c.reg = opts.Registry
 	if c.reg == nil {
 		c.reg = obs.NewRegistry()
 	}
 	c.met = newClusterMetrics(c.reg, c)
+	c.exec.met = c.met
 	return c, nil
 }
 
@@ -122,7 +106,7 @@ func (c *Cluster) Registry() *obs.Registry { return c.reg }
 // TasksStarted returns the cumulative number of shard-local tasks the
 // cluster has executed. Deltas around a query approximate the shards it
 // touched (exact when queries do not overlap).
-func (c *Cluster) TasksStarted() int64 { return c.tasks.Load() }
+func (c *Cluster) TasksStarted() int64 { return c.met.tasks.Load() }
 
 // NumShards returns the number of shards.
 func (c *Cluster) NumShards() int { return len(c.shards) }
@@ -133,10 +117,8 @@ func (c *Cluster) UniverseRect() geom.Rect { return c.Universe }
 // Len returns the total number of stored points across shards.
 func (c *Cluster) Len() int {
 	n := 0
-	for _, s := range c.shards {
-		s.mu.RLock()
-		n += s.srv.Tree.Len()
-		s.mu.RUnlock()
+	for _, b := range c.shards {
+		n += b.stats().Count
 	}
 	return n
 }
@@ -144,10 +126,9 @@ func (c *Cluster) Len() int {
 // ShardStats reports per-shard statistics in shard order.
 func (c *Cluster) ShardStats() []Stats {
 	out := make([]Stats, len(c.shards))
-	for i, s := range c.shards {
-		s.mu.RLock()
-		out[i] = Stats{Resp: s.resp, Count: s.srv.Tree.Len(), NodeAccesses: s.srv.Tree.NodeAccesses()}
-		s.mu.RUnlock()
+	for i, b := range c.shards {
+		st := b.stats()
+		out[i] = Stats{Resp: c.exec.Parts[i].Tiles[0], Count: st.Count, NodeAccesses: st.NodeAccesses}
 	}
 	return out
 }
@@ -155,10 +136,10 @@ func (c *Cluster) ShardStats() []Stats {
 // owner returns the shard responsible for p under the canonical owner
 // rule (first responsibility rectangle containing p), or nil when p is
 // outside every shard.
-func (c *Cluster) owner(p geom.Point) *node {
-	for _, s := range c.shards {
-		if s.resp.Contains(p) {
-			return s
+func (c *Cluster) owner(p geom.Point) *LocalBackend {
+	for i, part := range c.exec.Parts {
+		if part.Tiles[0].Contains(p) {
+			return c.shards[i]
 		}
 	}
 	return nil
@@ -166,181 +147,101 @@ func (c *Cluster) owner(p geom.Point) *node {
 
 // Insert adds a point to its owning shard.
 func (c *Cluster) Insert(it rtree.Item) error {
-	s := c.owner(it.P)
-	if s == nil {
+	b := c.owner(it.P)
+	if b == nil {
 		return fmt.Errorf("shard: point %v outside universe %v", it.P, c.Universe)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.srv.Tree.Insert(it)
-	return nil
+	return b.Insert(context.Background(), it)
 }
 
 // Delete removes a point from its owning shard, reporting whether it
 // was present.
 func (c *Cluster) Delete(it rtree.Item) bool {
-	s := c.owner(it.P)
-	if s == nil {
+	b := c.owner(it.P)
+	if b == nil {
 		return false
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.srv.Tree.Delete(it)
+	// A local delete fails only on cancellation; Background has none.
+	ok, err := b.Delete(context.Background(), it)
+	return ok && err == nil
 }
 
-// scatter runs task once per shard index in idxs, in parallel on the
-// bounded worker pool, holding each shard's read lock for the duration
-// of its task. A single task runs inline on the caller's goroutine —
-// most routed queries touch one shard and skip the fan-out machinery
-// entirely.
-//
-// Cancelling ctx stops scheduling further tasks (already-running tasks
-// finish: shard-local work is not preemptible) and scatter returns the
-// context error; callers must then discard their partial gather. A nil
-// error means every task ran.
-func (c *Cluster) scatter(ctx context.Context, idxs []int, task func(i int, s *node)) error {
-	if len(idxs) == 0 {
-		return ctx.Err()
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if len(idxs) == 1 {
-		c.runTask(idxs[0], task)
-		return nil
-	}
-	var wg sync.WaitGroup
-	var err error
-	for _, i := range idxs {
-		select {
-		case c.sem <- struct{}{}:
-		case <-ctx.Done():
-			err = ctx.Err()
-		}
-		if err != nil {
-			break
-		}
-		i := i
-		wg.Add(1)
-		go func() {
-			defer func() { <-c.sem; wg.Done() }()
-			c.runTask(i, task)
-		}()
-	}
-	wg.Wait()
-	if err == nil {
-		err = ctx.Err()
-	}
-	return err
+// BatchCtx executes a batch of queries with grouped per-shard scatter
+// (see Executor). The returned slice parallels reqs; per-request errors
+// are carried in BatchResp.Err. Local reads fail only on cancellation,
+// which aborts the whole batch, so cluster answers never list Failed
+// shards.
+func (c *Cluster) BatchCtx(ctx context.Context, reqs []BatchReq) ([]BatchResp, error) {
+	return c.exec.Run(ctx, reqs)
 }
 
-// runTask executes one shard-local task under the shard's read lock,
-// recording its latency and the task count.
-func (c *Cluster) runTask(i int, task func(i int, s *node)) {
-	s := c.shards[i]
-	start := time.Now()
-	s.mu.RLock()
-	task(i, s)
-	s.mu.RUnlock()
-	c.tasks.Add(1)
-	c.met.tasksTotal.Inc()
-	c.met.taskDur.Observe(float64(time.Since(start).Microseconds()))
+// one runs a single request through the executor.
+func (c *Cluster) one(ctx context.Context, req BatchReq) BatchResp {
+	resps, err := c.BatchCtx(ctx, []BatchReq{req})
+	if err != nil {
+		return BatchResp{Err: err}
+	}
+	return resps[0]
 }
 
-// overlapping returns the indexes of shards whose responsibility
-// rectangle intersects r.
-func (c *Cluster) overlapping(r geom.Rect) []int {
-	var out []int
-	for i, s := range c.shards {
-		if s.resp.Intersects(r) {
-			out = append(out, i)
-		}
-	}
-	return out
+// NNQueryCtx answers a location-based k-nearest-neighbor query by
+// scatter-gather (see Executor.planNN): a cancelled context aborts the
+// fan-out between shard tasks and returns the context error.
+func (c *Cluster) NNQueryCtx(ctx context.Context, q geom.Point, k int) (*core.NNValidity, core.QueryCost, error) {
+	r := c.one(ctx, BatchReq{Op: BatchNN, Q: q, K: k})
+	return r.NN, r.Cost, r.Err
 }
 
-// allShards returns every shard index.
-func (c *Cluster) allShards() []int {
-	out := make([]int, len(c.shards))
-	for i := range out {
-		out[i] = i
-	}
-	return out
+// KNearestCtx returns the k nearest neighbors of q across all shards (a
+// plain k-NN query, without validity computation).
+func (c *Cluster) KNearestCtx(ctx context.Context, q geom.Point, k int) ([]nn.Neighbor, error) {
+	r := c.one(ctx, BatchReq{Op: BatchKNN, Q: q, K: k})
+	return r.Neighbors, r.Err
 }
 
-// byMinDist returns shard indexes ordered by ascending minimum distance
-// from q to the responsibility rectangle (the owner shard first).
-func (c *Cluster) byMinDist(q geom.Point) []int {
-	type entry struct {
-		idx int
-		d2  float64
-	}
-	es := make([]entry, len(c.shards))
-	for i, s := range c.shards {
-		es[i] = entry{i, s.resp.MinDist2(q)}
-	}
-	sort.Slice(es, func(i, j int) bool {
-		// Exact comparator: tolerant comparison breaks strict weak order.
-		if !geom.ExactEq(es[i].d2, es[j].d2) {
-			return es[i].d2 < es[j].d2
-		}
-		return es[i].idx < es[j].idx
-	})
-	out := make([]int, len(es))
-	for i, e := range es {
-		out[i] = e.idx
-	}
-	return out
+// WindowQueryCtx answers a location-based window query by
+// scatter-gather (see Executor.planWindow): a cancelled context aborts
+// the fan-out between shard tasks and returns the context error with a
+// nil validity.
+func (c *Cluster) WindowQueryCtx(ctx context.Context, w geom.Rect) (*core.WindowValidity, core.QueryCost, error) {
+	r := c.one(ctx, BatchReq{Op: BatchWindow, W: w})
+	return r.Window, r.Cost, r.Err
 }
 
-// CountWindow returns the number of items inside w, summed over the
+// WindowQueryAtCtx is WindowQueryCtx for the window of extents qx×qy
+// centered at the focus.
+func (c *Cluster) WindowQueryAtCtx(ctx context.Context, focus geom.Point, qx, qy float64) (*core.WindowValidity, core.QueryCost, error) {
+	return c.WindowQueryCtx(ctx, geom.RectCenteredAt(focus, qx, qy))
+}
+
+// RangeQueryCtx answers a location-based range query by scatter-gather
+// (see Executor.planRange): a cancelled context aborts the fan-out
+// between shard tasks and returns the context error with a nil
+// validity.
+func (c *Cluster) RangeQueryCtx(ctx context.Context, center geom.Point, radius float64) (*core.RangeValidity, core.QueryCost, error) {
+	r := c.one(ctx, BatchReq{Op: BatchRange, Q: center, Radius: radius})
+	return r.Range, r.Cost, r.Err
+}
+
+// RouteNNCtx returns the continuous nearest neighbors along the segment
+// a→b across all shards: each shard computes its local CNN partition
+// and the partitions fold by a piecewise-minimum merge (mergeCNN).
+func (c *Cluster) RouteNNCtx(ctx context.Context, a, b geom.Point) ([]tp.CNNInterval, error) {
+	r := c.one(ctx, BatchReq{Op: BatchRoute, Q: a, To: b})
+	return r.Route, r.Err
+}
+
+// CountWindowCtx returns the number of items inside w, summed over the
 // overlapping shards using aggregate subtree counts.
-func (c *Cluster) CountWindow(w geom.Rect) int {
-	return legacy(func(ctx context.Context) (int, error) {
-		return c.CountWindowCtx(ctx, w)
-	})
-}
-
-// CountWindowCtx is CountWindow honoring context cancellation.
 func (c *Cluster) CountWindowCtx(ctx context.Context, w geom.Rect) (int, error) {
-	idxs := c.overlapping(w)
-	counts := make([]int, len(c.shards))
-	err := c.scatter(ctx, idxs, func(i int, s *node) {
-		counts[i] = s.srv.Tree.CountWindow(w)
-	})
-	c.observeFanout(opCount, len(idxs))
-	if err != nil {
-		return 0, err
-	}
-	total := 0
-	for _, n := range counts {
-		total += n
-	}
-	return total, nil
+	r := c.one(ctx, BatchReq{Op: BatchCount, W: w})
+	return r.Count, r.Err
 }
 
-// SearchItems returns the items inside w, gathered from the overlapping
-// shards (order is by shard, then tree order within each shard).
-func (c *Cluster) SearchItems(w geom.Rect) []rtree.Item {
-	return legacy(func(ctx context.Context) ([]rtree.Item, error) {
-		return c.SearchItemsCtx(ctx, w)
-	})
-}
-
-// SearchItemsCtx is SearchItems honoring context cancellation.
+// SearchItemsCtx returns the items inside w, gathered from the
+// overlapping shards (order is by shard, then tree order within each
+// shard).
 func (c *Cluster) SearchItemsCtx(ctx context.Context, w geom.Rect) ([]rtree.Item, error) {
-	idxs := c.overlapping(w)
-	found := make([][]rtree.Item, len(c.shards))
-	err := c.scatter(ctx, idxs, func(i int, s *node) {
-		found[i] = s.srv.Tree.SearchItems(w)
-	})
-	c.observeFanout(opSearch, len(idxs))
-	if err != nil {
-		return nil, err
-	}
-	var out []rtree.Item
-	for _, part := range found {
-		out = append(out, part...)
-	}
-	return out, nil
+	r := c.one(ctx, BatchReq{Op: BatchSearch, W: w})
+	return r.Items, r.Err
 }

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sort"
@@ -300,7 +301,10 @@ func TestRouteNNEquivalence(t *testing.T) {
 				a := queryPoint(rng, cfg.d)
 				b := queryPoint(rng, cfg.d)
 				sIvs := tp.CNN(tree, a, b)
-				mIvs := c.RouteNN(a, b)
+				mIvs, err := c.RouteNNCtx(context.Background(), a, b)
+				if err != nil {
+					t.Fatal(err)
+				}
 				if len(sIvs) == 0 {
 					if len(mIvs) != 0 {
 						t.Fatalf("route %v→%v: single empty, sharded %d intervals", a, b, len(mIvs))
@@ -347,6 +351,7 @@ func TestClusterSearchAndCount(t *testing.T) {
 	cfg := equivConfigs()[0]
 	single, c := buildPair(t, cfg)
 	rng := rand.New(rand.NewSource(505))
+	ctx := context.Background()
 	u := cfg.d.Universe
 	for i := 0; i < 200; i++ {
 		q := queryPoint(rng, cfg.d)
@@ -356,10 +361,18 @@ func TestClusterSearchAndCount(t *testing.T) {
 			sIDs = append(sIDs, it.ID)
 		}
 		sort.Slice(sIDs, func(a, b int) bool { return sIDs[a] < sIDs[b] })
-		if got := sortedIDs(c.SearchItems(w)); !sameIDs(got, sIDs) {
+		found, err := c.SearchItemsCtx(ctx, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sortedIDs(found); !sameIDs(got, sIDs) {
 			t.Fatalf("w=%v: single search %d items, sharded %d", w, len(sIDs), len(got))
 		}
-		if got, want := c.CountWindow(w), single.Tree.CountWindow(w); got != want {
+		got, err := c.CountWindowCtx(ctx, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := single.Tree.CountWindow(w); got != want {
 			t.Fatalf("w=%v: single count %d, sharded %d", w, want, got)
 		}
 	}
@@ -380,7 +393,10 @@ func TestClusterInsertDelete(t *testing.T) {
 	if got := c.Len(); got != 501 {
 		t.Fatalf("Len after insert = %d, want 501", got)
 	}
-	nbs := c.KNearest(it.P, 1)
+	nbs, err := c.KNearestCtx(context.Background(), it.P, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(nbs) != 1 || nbs[0].Item.ID != it.ID {
 		t.Fatalf("KNearest after insert: %v", nbs)
 	}

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"testing"
@@ -22,6 +23,7 @@ func TestClusterConcurrentQueriesAndUpdates(t *testing.T) {
 		t.Fatal(err)
 	}
 	u := d.Universe
+	ctx := context.Background()
 
 	const (
 		readers   = 6
@@ -51,10 +53,19 @@ func TestClusterConcurrentQueriesAndUpdates(t *testing.T) {
 					c.RangeQuery(q, 0.02*u.Width())
 				case 3:
 					b := geom.Pt(u.MinX+rng.Float64()*u.Width(), u.MinY+rng.Float64()*u.Height())
-					c.RouteNN(q, b)
+					if _, err := c.RouteNNCtx(ctx, q, b); err != nil {
+						t.Error(err)
+						return
+					}
 				default:
-					c.KNearest(q, 5)
-					c.CountWindow(geom.RectCenteredAt(q, 0.1*u.Width(), 0.1*u.Height()))
+					if _, err := c.KNearestCtx(ctx, q, 5); err != nil {
+						t.Error(err)
+						return
+					}
+					if _, err := c.CountWindowCtx(ctx, geom.RectCenteredAt(q, 0.1*u.Width(), 0.1*u.Height())); err != nil {
+						t.Error(err)
+						return
+					}
 				}
 			}
 		}()
@@ -87,7 +98,7 @@ func TestClusterConcurrentQueriesAndUpdates(t *testing.T) {
 		t.Fatalf("after balanced churn Len = %d, want %d", got, len(d.Items))
 	}
 	for i, s := range c.shards {
-		if err := s.srv.Tree.CheckInvariants(); err != nil {
+		if err := s.Srv.Tree.CheckInvariants(); err != nil {
 			t.Fatalf("shard %d tree invariants: %v", i, err)
 		}
 	}

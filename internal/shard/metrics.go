@@ -1,11 +1,14 @@
 package shard
 
 import (
+	"sync/atomic"
+	"time"
+
 	"lbsq/internal/obs"
 )
 
 // Query-surface operation names used as the op label of cluster
-// metrics.
+// metrics and in the executor's error messages.
 const (
 	opNN     = "nn"
 	opKNN    = "knn"
@@ -27,6 +30,7 @@ type clusterMetrics struct {
 	pruned     map[string]*obs.Counter
 	tasksTotal *obs.Counter
 	taskDur    *obs.Histogram
+	tasks      atomic.Int64 // shard tasks executed, ever (trace attribution)
 }
 
 // newClusterMetrics registers the cluster instruments on reg.
@@ -47,12 +51,13 @@ func newClusterMetrics(reg *obs.Registry, c *Cluster) *clusterMetrics {
 		"Shard-local tasks executed by scatter-gather.", nil)
 	m.taskDur = reg.Histogram("lbsq_shard_task_duration_us",
 		"Per-shard task latency in microseconds.", nil, obs.LatencyBucketsUS)
+	pool := c.exec.Pool
 	reg.Gauge("lbsq_shards", "Number of spatial shards.", nil).Set(int64(len(c.shards)))
-	reg.Gauge("lbsq_shard_workers", "Scatter-gather worker pool size.", nil).Set(int64(cap(c.sem)))
+	reg.Gauge("lbsq_shard_workers", "Scatter-gather worker pool size.", nil).Set(int64(cap(pool)))
 	reg.GaugeFunc("lbsq_shard_queue_depth",
 		"Scatter tasks currently holding a worker slot.", nil,
-		func() float64 { return float64(len(c.sem)) })
-	if c.buffered() {
+		func() float64 { return float64(len(pool)) })
+	if _, _, ok := c.shards[0].bufferStats(); ok {
 		reg.CounterFunc("lbsq_buffer_hits_total",
 			"Page-buffer hits summed over shards.", nil,
 			func() float64 { h, _ := c.BufferStats(); return float64(h) })
@@ -63,28 +68,29 @@ func newClusterMetrics(reg *obs.Registry, c *Cluster) *clusterMetrics {
 	return m
 }
 
-// observeFanout records one query's scatter width: touched distinct
-// shards out of the cluster total; the rest were pruned.
-func (c *Cluster) observeFanout(op string, touched int) {
-	c.met.fanout[op].Observe(float64(touched))
-	if skipped := len(c.shards) - touched; skipped > 0 {
-		c.met.pruned[op].Add(int64(skipped))
-	}
+// observeTask records one shard task's latency and the task count.
+func (m *clusterMetrics) observeTask(d time.Duration) {
+	m.tasks.Add(1)
+	m.tasksTotal.Inc()
+	m.taskDur.Observe(float64(d.Microseconds()))
 }
 
-// buffered reports whether the shards run LRU page buffers.
-func (c *Cluster) buffered() bool {
-	return len(c.shards) > 0 && c.shards[0].srv.Buffer != nil
+// observeFanout records one query's scatter width: touched distinct
+// shards out of the cluster total; the rest were pruned.
+func (m *clusterMetrics) observeFanout(op string, touched, shards int) {
+	m.fanout[op].Observe(float64(touched))
+	if skipped := shards - touched; skipped > 0 {
+		m.pruned[op].Add(int64(skipped))
+	}
 }
 
 // BufferStats sums buffer hits and misses over all shards (zeros when
 // unbuffered).
 func (c *Cluster) BufferStats() (hits, misses int64) {
-	for _, s := range c.shards {
-		if s.srv.Buffer != nil {
-			hits += s.srv.Buffer.Hits()
-			misses += s.srv.Buffer.Faults()
-		}
+	for _, b := range c.shards {
+		h, f, _ := b.bufferStats()
+		hits += h
+		misses += f
 	}
 	return hits, misses
 }
