@@ -45,9 +45,11 @@ fuzz-smoke:
 
 # cluster-smoke runs the networked-cluster integration suite — real
 # HTTP data nodes, coordinator parity against the in-process oracle,
-# fault injection — under the race detector.
+# fault injection, and the coordinator's HTTP front end — under the
+# race detector.
 cluster-smoke:
 	$(GO) test -race -tags lbsqcheck -timeout 15m ./internal/dist/ ./internal/shard/
+	$(GO) test -race -tags lbsqcheck -timeout 5m -run 'TestCoordinatorFrontEnd' .
 
 # crash-smoke runs the durability suite — WAL replay, checkpoint
 # truncation, torn-tail handling, and the kill-mid-write subprocess

@@ -9,11 +9,12 @@
 //	lbsq-server -dataset gr                          # GR-like dataset
 //	lbsq-server -load points.lbsq                    # dataset file (see datagen)
 //
-// Endpoints: /nn?x=&y=&k=   /window?x=&y=&qx=&qy=   /info, each also
-// mounted under /v1/ with JSON error envelopes, plus POST /v1/batch.
-// -cache enables the server-side validity-region cache. Every unsharded
-// server also answers the shard RPC at POST /v1/shard, so it can serve
-// as a data node of a distributed cluster.
+// Endpoints: /v1/nn?x=&y=&k=   /v1/window?x=&y=&qx=&qy=   /v1/range
+// /v1/route   /v1/info   POST /v1/batch   and the /v1/session family,
+// all with JSON error envelopes. -cache enables the server-side
+// validity-region cache. Every unsharded server also answers the shard
+// RPC at POST /v1/shard, so it can serve as a data node of a
+// distributed cluster.
 //
 // Cluster mode: -cluster runs the process as a distributed coordinator
 // over remote data nodes instead of serving data itself —
@@ -39,14 +40,18 @@
 // the fsync policy (always | os).
 //
 // Observability: -metrics (default on) exposes Prometheus text metrics
-// at /metrics; -pprof additionally mounts net/http/pprof under
+// at /v1/metrics; -pprof additionally mounts net/http/pprof under
 // /debug/pprof/ for live profiling.
+//
+// Both modes serve until SIGINT/SIGTERM, then drain in-flight requests
+// and close the database (sealing a durable store) or the coordinator.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"net/http/pprof"
@@ -75,7 +80,7 @@ func main() {
 		cache     = flag.Int("cache", 0, "validity-region cache capacity in regions (0 disables)")
 		layout    = flag.String("layout", "", "index layout: pointer | arena (arena is read-optimized, incompatible with -shards > 1)")
 		sessStrat = flag.String("session-strategy", "", "NN session strategy: tpknn | insq (insq repairs an influential neighbor set instead of re-querying; incompatible with -shards > 1)")
-		metrics   = flag.Bool("metrics", true, "expose Prometheus metrics at /metrics")
+		metrics   = flag.Bool("metrics", true, "expose Prometheus metrics at /v1/metrics")
 		pprofOn   = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 
 		dataDir    = flag.String("data-dir", "", "durable data directory: WAL every write, recover on restart (empty = in-memory)")
@@ -96,13 +101,13 @@ func main() {
 	flag.Parse()
 
 	if *cluster != "" {
-		runCoordinator(coordinatorConfig{
+		d := openCoordinator(coordinatorConfig{
 			addr: *addr, nodes: strings.Split(*cluster, ","),
 			replicas: *replicas, partitions: *partitions, placement: *placement,
 			hedgeAfter: *hedgeAfter, opTimeout: *opTimeout, retries: *retries,
 			seed: *seedDist, n: *n, kind: *kind, rngSeed: *seed, load: *load,
-			pprofOn: *pprofOn,
 		})
+		serve(*addr, newMux(d.Handler(), *metrics, *pprofOn, *addr), d)
 		return
 	}
 
@@ -168,26 +173,38 @@ func main() {
 		}
 	}
 
-	mux := http.NewServeMux()
-	mux.Handle("/", db.Handler())
-	if !*metrics {
-		// The DB handler serves /metrics by default; mask it when the
-		// operator opts out.
-		mux.HandleFunc("/metrics", http.NotFound)
-	} else {
-		log.Printf("metrics at http://%s/metrics", displayAddr(*addr))
-	}
-	mountPprof(mux, *pprofOn, *addr)
+	mux := newMux(db.Handler(), *metrics, *pprofOn, *addr)
 	if *join != "" {
 		if *advertise == "" {
 			log.Fatal("lbsq-server: -join requires -advertise (this node's reachable URL)")
 		}
 		go joinCluster(*join, *advertise)
 	}
+	serve(*addr, mux, db)
+}
 
-	// Serve until SIGINT/SIGTERM, then drain in-flight requests and seal
-	// the durable store so no acknowledged write is lost on shutdown.
-	srv := &http.Server{Addr: *addr, Handler: mux}
+// newMux mounts a DB's or coordinator's handler at / under the
+// operator's switches: metrics off masks /v1/metrics, and pprof on
+// mounts net/http/pprof.
+func newMux(h http.Handler, metrics, pprofOn bool, addr string) *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.Handle("/", h)
+	if metrics {
+		log.Printf("metrics at http://%s/v1/metrics", displayAddr(addr))
+	} else {
+		mux.HandleFunc("/v1/metrics", http.NotFound)
+	}
+	mountPprof(mux, pprofOn, addr)
+	return mux
+}
+
+// serve answers on addr until SIGINT/SIGTERM, then drains in-flight
+// requests and closes the facade — sealing a durable store so no
+// acknowledged write is lost, or releasing a coordinator's node
+// connections. There is no WriteTimeout: it would cut off the session
+// long-poll, which may legitimately wait two minutes.
+func serve(addr string, h http.Handler, facade io.Closer) {
+	srv := &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: 10 * time.Second}
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	done := make(chan error, 1)
@@ -202,8 +219,8 @@ func main() {
 			log.Printf("lbsq-server: shutdown: %v", err)
 		}
 		cancel()
-		if err := db.Close(); err != nil {
-			log.Fatalf("lbsq-server: closing store: %v", err)
+		if err := facade.Close(); err != nil {
+			log.Fatalf("lbsq-server: closing: %v", err)
 		}
 	}
 }
@@ -258,12 +275,11 @@ type coordinatorConfig struct {
 	kind       string
 	rngSeed    int64
 	load       string
-	pprofOn    bool
 }
 
-// runCoordinator connects to the data nodes and serves the cluster
-// front-end (control plane plus read-only binary query endpoints).
-func runCoordinator(cfg coordinatorConfig) {
+// openCoordinator connects to the data nodes, seeding them when asked,
+// and returns the coordinator.
+func openCoordinator(cfg coordinatorConfig) *lbsq.DistDB {
 	pl, err := lbsq.ParseDistPlacement(cfg.placement)
 	if err != nil {
 		log.Fatalf("lbsq-server: %v", err)
@@ -309,11 +325,7 @@ func runCoordinator(cfg coordinatorConfig) {
 	}
 	log.Printf("coordinating %d nodes (%d groups × %d replicas, %s placement) in %v on %s",
 		len(cfg.nodes), d.Coordinator().NumGroups(), cfg.replicas, pl, universe, cfg.addr)
-
-	mux := http.NewServeMux()
-	mux.Handle("/", d.Handler())
-	mountPprof(mux, cfg.pprofOn, cfg.addr)
-	log.Fatal(http.ListenAndServe(cfg.addr, mux))
+	return d
 }
 
 // joinCluster asks a running coordinator to add this node as a replica.

@@ -117,3 +117,56 @@ func TestConcurrentQueriesWithUpdates(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestMobileClientsDuringWrites moves the NN, window and range mobile
+// clients while another goroutine inserts and deletes points (run with
+// -race: the clients must query the tree under the DB's read lock).
+func TestMobileClientsDuringWrites(t *testing.T) {
+	items, uni := UniformDataset(2000, 3)
+	db, err := Open(items, uni, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	writerErr := make(chan error, 1)
+	go func() {
+		defer close(writerErr)
+		rng := rand.New(rand.NewSource(4))
+		for id := int64(1 << 40); ; id++ {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			it := Item{ID: id, P: Pt(rng.Float64(), rng.Float64())}
+			if err := db.Insert(it); err != nil {
+				writerErr <- err
+				return
+			}
+			if id%2 == 0 {
+				if _, err := db.Delete(it); err != nil {
+					writerErr <- err
+					return
+				}
+			}
+		}
+	}()
+	nnc, wc, rc := db.NewNNClient(3), db.NewWindowClient(0.05, 0.05), db.NewRangeClient(0.03)
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 200; i++ {
+		p := Pt(rng.Float64(), rng.Float64())
+		if _, err := nnc.At(p); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := wc.At(p); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rc.At(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(done)
+	if err := <-writerErr; err != nil {
+		t.Fatal(err)
+	}
+}

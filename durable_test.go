@@ -462,7 +462,7 @@ func TestAdminEndpoints(t *testing.T) {
 	}
 
 	// Storage metrics are exported.
-	resp, err = http.Get(srv.URL + "/metrics")
+	resp, err = http.Get(srv.URL + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -155,47 +155,6 @@ func TestHTTPRange(t *testing.T) {
 	}
 }
 
-func TestIndexPersistence(t *testing.T) {
-	items, uni := UniformDataset(3000, 7)
-	db, err := Open(items, uni, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := t.TempDir() + "/idx.lbsqt"
-	if err := db.SaveIndex(path); err != nil {
-		t.Fatal(err)
-	}
-	db2, err := OpenIndex(path, uni, &Options{BufferFraction: 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if db2.Len() != db.Len() {
-		t.Fatalf("reloaded %d items, want %d", db2.Len(), db.Len())
-	}
-	// Queries agree.
-	for _, q := range []Point{Pt(0.3, 0.3), Pt(0.8, 0.2)} {
-		a, _, err := db.NN(context.Background(), q, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, _, err := db2.NN(context.Background(), q, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range a.Neighbors {
-			if a.Neighbors[i].Item.ID != b.Neighbors[i].Item.ID {
-				t.Fatalf("NN differs after reload at %v", q)
-			}
-		}
-	}
-	if _, err := OpenIndex(t.TempDir()+"/missing", uni, nil); err == nil {
-		t.Fatal("missing index must error")
-	}
-	if _, err := OpenIndex(path, R(1, 1, 0, 0), nil); err == nil {
-		t.Fatal("bad universe must error")
-	}
-}
-
 func TestHTTPDeltaSessionAndRoute(t *testing.T) {
 	items, uni := UniformDataset(3000, 9)
 	db, _ := Open(items, uni, nil)
@@ -205,7 +164,7 @@ func TestHTTPDeltaSessionAndRoute(t *testing.T) {
 	// Delta session: repeated nearby queries shrink on the wire but
 	// decode to the same answers as plain queries.
 	plain := &RemoteClient{Base: srv.URL}
-	delta := &RemoteClient{Base: srv.URL, Session: "client-1"}
+	delta := NewRemoteClient(srv.URL, WithSession("client-1"))
 	var plainBytes, deltaBytes int
 	for i := 0; i < 10; i++ {
 		q := Pt(0.5+float64(i)*0.0004, 0.5)
@@ -229,10 +188,10 @@ func TestHTTPDeltaSessionAndRoute(t *testing.T) {
 		deltaBytes += len(core.EncodeNNDelta(b, func(int64) bool { return false }))
 	}
 	// Direct wire measurement: ask the server once more each way.
-	respPlain, _ := http.Get(srv.URL + "/nn?x=0.5&y=0.5&k=3")
+	respPlain, _ := http.Get(srv.URL + "/v1/nn?x=0.5&y=0.5&k=3")
 	bodyPlain, _ := io.ReadAll(respPlain.Body)
 	respPlain.Body.Close()
-	respDelta, _ := http.Get(srv.URL + "/nn?x=0.5&y=0.5&k=3&session=client-1")
+	respDelta, _ := http.Get(srv.URL + "/v1/nn?x=0.5&y=0.5&k=3&session=client-1")
 	bodyDelta, _ := io.ReadAll(respDelta.Body)
 	respDelta.Body.Close()
 	if len(bodyDelta) >= len(bodyPlain) {

@@ -33,14 +33,14 @@ func fuzzHandler() http.Handler {
 // every non-finite value (NaN/±Inf poison the distance comparisons
 // downstream), and parsePoint must only succeed on finite coordinates.
 func FuzzHTTPParams(f *testing.F) {
-	f.Add("/nn", "x=0.4&y=0.6&k=2")
-	f.Add("/window", "x=0.5&y=0.5&qx=0.05&qy=0.05")
-	f.Add("/range", "x=0.5&y=0.5&r=0.05")
-	f.Add("/route", "x1=0.1&y1=0.1&x2=0.9&y2=0.9")
-	f.Add("/nn", "x=NaN&y=Inf&k=1")
-	f.Add("/nn", "x=1e400&y=0&k=-1")
-	f.Add("/count", "minx=0&miny=0&maxx=2&maxy=2")
-	f.Add("/metrics", "")
+	f.Add("/v1/nn", "x=0.4&y=0.6&k=2")
+	f.Add("/v1/window", "x=0.5&y=0.5&qx=0.05&qy=0.05")
+	f.Add("/v1/range", "x=0.5&y=0.5&r=0.05")
+	f.Add("/v1/route", "x1=0.1&y1=0.1&x2=0.9&y2=0.9")
+	f.Add("/v1/nn", "x=NaN&y=Inf&k=1")
+	f.Add("/v1/nn", "x=1e400&y=0&k=-1")
+	f.Add("/v1/count", "minx=0&miny=0&maxx=2&maxy=2")
+	f.Add("/v1/metrics", "")
 	f.Fuzz(func(t *testing.T, path, query string) {
 		if len(path) > 64 || len(query) > 256 {
 			t.Skip("oversized input")

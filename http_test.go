@@ -27,15 +27,15 @@ func TestHandlerRejectsNonFiniteParams(t *testing.T) {
 		name string
 		path string
 	}{
-		{"nn-nan-x", "/nn?x=NaN&y=0.5&k=1"},
-		{"nn-inf-y", "/nn?x=0.5&y=%2BInf&k=1"},
-		{"nn-neg-inf", "/nn?x=-Inf&y=0.5&k=1"},
-		{"window-nan-focus", "/window?x=nan&y=0.5&qx=0.1&qy=0.1"},
-		{"window-inf-extent", "/window?x=0.5&y=0.5&qx=Inf&qy=0.1"},
-		{"range-nan-radius", "/range?x=0.5&y=0.5&r=NaN"},
-		{"range-inf-center", "/range?x=Inf&y=0.5&r=0.1"},
-		{"route-nan-endpoint", "/route?x1=NaN&y1=0&x2=1&y2=1"},
-		{"route-inf-endpoint", "/route?x1=0&y1=0&x2=Inf&y2=1"},
+		{"nn-nan-x", "/v1/nn?x=NaN&y=0.5&k=1"},
+		{"nn-inf-y", "/v1/nn?x=0.5&y=%2BInf&k=1"},
+		{"nn-neg-inf", "/v1/nn?x=-Inf&y=0.5&k=1"},
+		{"window-nan-focus", "/v1/window?x=nan&y=0.5&qx=0.1&qy=0.1"},
+		{"window-inf-extent", "/v1/window?x=0.5&y=0.5&qx=Inf&qy=0.1"},
+		{"range-nan-radius", "/v1/range?x=0.5&y=0.5&r=NaN"},
+		{"range-inf-center", "/v1/range?x=Inf&y=0.5&r=0.1"},
+		{"route-nan-endpoint", "/v1/route?x1=NaN&y1=0&x2=1&y2=1"},
+		{"route-inf-endpoint", "/v1/route?x1=0&y1=0&x2=Inf&y2=1"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			resp, err := http.Get(srv.URL + tc.path)
@@ -50,7 +50,7 @@ func TestHandlerRejectsNonFiniteParams(t *testing.T) {
 	}
 
 	// Finite queries still work.
-	resp, err := http.Get(srv.URL + "/nn?x=0.5&y=0.5&k=1")
+	resp, err := http.Get(srv.URL + "/v1/nn?x=0.5&y=0.5&k=1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestConcurrentDeltaSessions(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rc := &RemoteClient{Base: srv.URL, Session: fmt.Sprintf("sess-%d", s)}
+			rc := NewRemoteClient(srv.URL, WithSession(fmt.Sprintf("sess-%d", s)))
 			// Each session walks its own diagonal, with overlapping
 			// positions across sessions so delta states would collide if
 			// the store mixed sessions up.
@@ -120,26 +120,26 @@ func TestConcurrentDeltaSessions(t *testing.T) {
 	}
 }
 
-// TestRemoteClientDefaultTimeout: the zero-value client must not hang
-// forever on a dead server — it gets a 10-second default timeout
-// (http.DefaultClient has none), and an explicit HTTP client still
+// TestRemoteClientDefaultTimeout: a client built without options must
+// not hang forever on a dead server — it gets a 10-second default
+// timeout (http.DefaultClient has none), and WithHTTPClient still
 // wins.
 func TestRemoteClientDefaultTimeout(t *testing.T) {
-	c := &RemoteClient{Base: "http://example.invalid"}
+	c := NewRemoteClient("http://example.invalid")
 	hc := c.httpClient()
 	if hc == http.DefaultClient {
-		t.Fatal("zero-value RemoteClient uses http.DefaultClient (no timeout)")
+		t.Fatal("RemoteClient without options uses http.DefaultClient (no timeout)")
 	}
 	if hc.Timeout != 10*time.Second {
 		t.Fatalf("default timeout = %v, want 10s", hc.Timeout)
 	}
 	custom := &http.Client{Timeout: time.Minute}
-	if (&RemoteClient{HTTP: custom}).httpClient() != custom {
+	if NewRemoteClient("", WithHTTPClient(custom)).httpClient() != custom {
 		t.Fatal("explicit HTTP client not honored")
 	}
 }
 
-// TestInfoReportsShards: /info exposes the shard count and per-shard
+// TestInfoReportsShards: /v1/info exposes the shard count and per-shard
 // stats for a sharded DB.
 func TestInfoReportsShards(t *testing.T) {
 	items, uni := UniformDataset(2000, 3)
@@ -158,13 +158,13 @@ func TestInfoReportsShards(t *testing.T) {
 	if count != 2000 || gotUni != uni {
 		t.Fatalf("Info = (%d, %v), want (2000, %v)", count, gotUni, uni)
 	}
-	body, err := rc.get(context.Background(), "/info")
+	body, err := rc.do(context.Background(), http.MethodGet, "/v1/info", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{`"shards":4`, `"shard_stats"`, `"node_accesses"`} {
 		if !strings.Contains(string(body), want) {
-			t.Fatalf("/info response missing %s: %s", want, body)
+			t.Fatalf("/v1/info response missing %s: %s", want, body)
 		}
 	}
 }

@@ -5,8 +5,7 @@ import (
 	"net/http"
 )
 
-// Admin endpoints of the durable store (v1 only — the persistence API
-// postdates the legacy plaintext surface):
+// Admin endpoints of the durable store:
 //
 //	POST /v1/admin/checkpoint → JSON storageStatsWire after the flush
 //	GET  /v1/admin/storage    → JSON storageStatsWire
@@ -47,7 +46,7 @@ func toStorageWire(st StorageStats) storageStatsWire {
 // mux using Go 1.22 method patterns.
 func (db *DB) registerAdminRoutes(mux *http.ServeMux) {
 	handle := func(pattern, label string, h http.HandlerFunc) {
-		mux.Handle(pattern, db.instrumentHTTP(label, h))
+		mux.Handle(pattern, instrumentHTTP(db.reg, label, h))
 	}
 	handle("POST /v1/admin/checkpoint", "/v1/admin/checkpoint", db.handleAdminCheckpoint)
 	handle("GET /v1/admin/storage", "/v1/admin/storage", db.handleAdminStorage)

@@ -1,11 +1,11 @@
 package lbsq
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"strconv"
 
-	"lbsq/internal/core"
 	"lbsq/internal/dist"
 	"lbsq/internal/shard"
 )
@@ -13,8 +13,8 @@ import (
 // HTTP surfaces of the distributed cluster. A data node (any unsharded
 // DB served by Handler) answers the shard RPC at POST /v1/shard; the
 // coordinator front-end (DistDB.Handler) exposes the cluster control
-// plane and a read-only query surface with the same binary encodings
-// the single-server endpoints use.
+// plane plus the single-server query handlers, answered by the
+// coordinator.
 
 // shardBackend adapts an unsharded DB into the shard RPC backend:
 // reads share db.mu with local queries, and writes route through the
@@ -42,43 +42,36 @@ func (db *DB) registerShardRoute(mux *http.ServeMux) {
 		return
 	}
 	h := dist.NewBackendHandler(b)
-	mux.Handle("/v1/shard", db.instrumentHTTP("/v1/shard", h.ServeHTTP))
+	mux.Handle("/v1/shard", instrumentHTTP(db.reg, "/v1/shard", h.ServeHTTP))
 }
 
-// Handler returns the coordinator front-end:
+// Handler returns the coordinator front-end: the cluster control plane
 //
 //	GET  /v1/cluster/info                  → JSON DistClusterInfo
 //	POST /v1/cluster/rebalance?placement=..&partitions=.. → JSON {"moved": n}
 //	POST /v1/cluster/join?addr=..          → JSON {"group": g}
-//	GET  /v1/nn?x=..&y=..&k=..             → binary NN response (EncodeNN)
-//	GET  /v1/window?x=..&y=..&qx=..&qy=..  → binary window response
-//	GET  /v1/range?x=..&y=..&r=..          → binary range response
-//	GET  /v1/route?x1=..&y1=..&x2=..&y2=.. → binary route response
-//	GET  /v1/info                          → JSON {"count":..,"universe":[..]}
-//	GET  /v1/metrics                       → Prometheus text exposition
 //
-// Degraded answers (a shard was unreachable and the validity region was
-// shrunk to exclude its territory) carry the X-Lbsq-Degraded: true
-// header; the encoded region is already the shrunk one, so a client
-// honoring the region contract stays conservative. All errors use the
-// /v1 JSON envelope.
+// plus the read-only query surface, served by the same handlers as
+// DB.Handler: /v1/nn, /v1/window, /v1/range, /v1/route, /v1/info and
+// /v1/metrics. Degraded answers (a shard was unreachable and the
+// validity region was shrunk to exclude its territory) carry the
+// X-Lbsq-Degraded: true header. All errors use the /v1 JSON envelope.
 func (d *DistDB) Handler() http.Handler {
 	mux := http.NewServeMux()
-	ew := errorWriter(writeJSONError)
 	mux.HandleFunc("/v1/cluster/info", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(d.Info(r.Context()))
 	})
 	mux.HandleFunc("/v1/cluster/rebalance", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
-			ew(w, http.StatusMethodNotAllowed, "rebalance requires POST")
+			writeJSONError(w, http.StatusMethodNotAllowed, "rebalance requires POST")
 			return
 		}
 		placement := d.coord.Ring().Placement
 		if s := r.URL.Query().Get("placement"); s != "" {
 			p, err := ParseDistPlacement(s)
 			if err != nil {
-				ew(w, http.StatusBadRequest, err.Error())
+				writeJSONError(w, http.StatusBadRequest, err.Error())
 				return
 			}
 			placement = p
@@ -87,14 +80,14 @@ func (d *DistDB) Handler() http.Handler {
 		if s := r.URL.Query().Get("partitions"); s != "" {
 			n, err := strconv.Atoi(s)
 			if err != nil || n < 1 {
-				ew(w, http.StatusBadRequest, "bad partitions")
+				writeJSONError(w, http.StatusBadRequest, "bad partitions")
 				return
 			}
 			partitions = n
 		}
 		moved, err := d.Rebalance(r.Context(), placement, partitions)
 		if err != nil {
-			writeQueryError(ew, w, r, err)
+			writeQueryError(w, r, err)
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
@@ -102,133 +95,69 @@ func (d *DistDB) Handler() http.Handler {
 	})
 	mux.HandleFunc("/v1/cluster/join", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
-			ew(w, http.StatusMethodNotAllowed, "join requires POST")
+			writeJSONError(w, http.StatusMethodNotAllowed, "join requires POST")
 			return
 		}
 		addr := r.URL.Query().Get("addr")
 		if addr == "" {
-			ew(w, http.StatusBadRequest, "join requires an addr parameter")
+			writeJSONError(w, http.StatusBadRequest, "join requires an addr parameter")
 			return
 		}
 		group, err := d.Join(r.Context(), addr)
 		if err != nil {
-			writeQueryError(ew, w, r, err)
+			writeQueryError(w, r, err)
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(map[string]int{"group": group})
 	})
-	mux.HandleFunc("/v1/nn", func(w http.ResponseWriter, r *http.Request) {
-		q, err := parsePoint(r)
-		if err != nil {
-			ew(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		k, err := parseInt(r, "k", 1)
-		if err != nil || k < 1 {
-			ew(w, http.StatusBadRequest, "bad k")
-			return
-		}
-		v, _, st, err := d.NN(r.Context(), q, k)
-		if err != nil {
-			writeQueryError(ew, w, r, err)
-			return
-		}
-		writeDegraded(w, st)
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Write(EncodeNN(v.NNValidity))
-	})
-	mux.HandleFunc("/v1/window", func(w http.ResponseWriter, r *http.Request) {
-		q, err := parsePoint(r)
-		if err != nil {
-			ew(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		qx, err1 := parseFloat(r, "qx")
-		qy, err2 := parseFloat(r, "qy")
-		if err1 != nil || err2 != nil || qx <= 0 || qy <= 0 {
-			ew(w, http.StatusBadRequest, "bad window extents")
-			return
-		}
-		wv, _, st, err := d.WindowAt(r.Context(), q, qx, qy)
-		if err != nil {
-			writeQueryError(ew, w, r, err)
-			return
-		}
-		writeDegraded(w, st)
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Write(EncodeWindow(wv))
-	})
-	mux.HandleFunc("/v1/range", func(w http.ResponseWriter, r *http.Request) {
-		q, err := parsePoint(r)
-		if err != nil {
-			ew(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		radius, err := parseFloat(r, "r")
-		if err != nil || radius <= 0 {
-			ew(w, http.StatusBadRequest, "bad radius")
-			return
-		}
-		rv, _, st, err := d.Range(r.Context(), q, radius)
-		if err != nil {
-			writeQueryError(ew, w, r, err)
-			return
-		}
-		writeDegraded(w, st)
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Write(EncodeRange(rv.RangeValidity))
-	})
-	mux.HandleFunc("/v1/route", func(w http.ResponseWriter, r *http.Request) {
-		x1, e1 := parseFloat(r, "x1")
-		y1, e2 := parseFloat(r, "y1")
-		x2, e3 := parseFloat(r, "x2")
-		y2, e4 := parseFloat(r, "y2")
-		if e1 != nil || e2 != nil || e3 != nil || e4 != nil {
-			ew(w, http.StatusBadRequest, "bad route endpoints")
-			return
-		}
-		ivs, _, err := d.RouteNN(r.Context(), Pt(x1, y1), Pt(x2, y2))
-		if err != nil {
-			writeQueryError(ew, w, r, err)
-			return
-		}
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Write(core.EncodeRoute(ivs))
-	})
-	mux.HandleFunc("/v1/info", func(w http.ResponseWriter, r *http.Request) {
-		u := d.Universe()
-		info := d.Info(r.Context())
-		// Replicas within a group hold the same items, and a join can
-		// leave groups with uneven replica counts — so the logical count
-		// is one healthy replica's count per group, not a global sum
-		// divided by the configured factor.
-		count := 0
-		counted := map[int]bool{}
-		for _, n := range info.Nodes {
-			if n.Err == "" && !counted[n.Group] {
-				counted[n.Group] = true
-				count += n.Stats.Count
-			}
-		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(map[string]interface{}{
-			"count":    count,
-			"universe": [4]float64{u.MinX, u.MinY, u.MaxX, u.MaxY},
-			"shards":   d.coord.NumGroups(),
-		})
-	})
-	mux.HandleFunc("/v1/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		// A write error means the scrape client disconnected mid-body.
-		d.WriteMetrics(w)
-	})
+	registerQueryRoutes(mux, d, d.coord.Registry())
 	return mux
 }
 
-// writeDegraded stamps the degradation header on a coordinator answer.
-func writeDegraded(w http.ResponseWriter, st DistStatus) {
-	if st.Degraded {
-		w.Header().Set("X-Lbsq-Degraded", "true")
+func (d *DistDB) nnAnswer(ctx context.Context, q Point, k int) (*NNValidity, bool, error) {
+	v, _, st, err := d.NN(ctx, q, k)
+	if err != nil {
+		return nil, false, err
+	}
+	return v.NNValidity, st.Degraded, nil
+}
+
+func (d *DistDB) windowAnswer(ctx context.Context, focus Point, qx, qy float64) (*WindowValidity, bool, error) {
+	wv, _, st, err := d.WindowAt(ctx, focus, qx, qy)
+	return wv, st.Degraded, err
+}
+
+func (d *DistDB) rangeAnswer(ctx context.Context, center Point, radius float64) (*RangeValidity, bool, error) {
+	rv, _, st, err := d.Range(ctx, center, radius)
+	if err != nil {
+		return nil, false, err
+	}
+	return rv.RangeValidity, st.Degraded, nil
+}
+
+func (d *DistDB) routeAnswer(ctx context.Context, a, b Point) ([]RouteInterval, bool, error) {
+	ivs, st, err := d.RouteNN(ctx, a, b)
+	return ivs, st.Degraded, err
+}
+
+func (d *DistDB) infoWire(ctx context.Context) map[string]interface{} {
+	// Replicas within a group hold the same items, and a join can leave
+	// groups with uneven replica counts — so the logical count is one
+	// healthy replica's count per group, not a global sum divided by
+	// the configured factor.
+	count := 0
+	counted := map[int]bool{}
+	for _, n := range d.Info(ctx).Nodes {
+		if n.Err == "" && !counted[n.Group] {
+			counted[n.Group] = true
+			count += n.Stats.Count
+		}
+	}
+	u := d.Universe()
+	return map[string]interface{}{
+		"count":    count,
+		"universe": [4]float64{u.MinX, u.MinY, u.MaxX, u.MaxY},
+		"shards":   d.coord.NumGroups(),
 	}
 }

@@ -8,8 +8,8 @@ import (
 )
 
 // RemoteError is the typed error RemoteClient returns for a non-2xx
-// server response. For /v1 endpoints it carries the JSON error
-// envelope's code and message; legacy plain-text bodies land in
+// server response. It carries the JSON error envelope's code and
+// message; any other body (a proxy's plain-text error, say) lands in
 // Message with Code 0. Match on it with errors.As:
 //
 //	var re *lbsq.RemoteError

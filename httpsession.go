@@ -1,20 +1,16 @@
 package lbsq
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 )
 
-// HTTP surface of the continuous-query session subsystem. Unlike the
-// stateless query endpoints, sessions exist only under /v1: the
-// protocol was born versioned, so there is no legacy path family and
-// every error is the uniform JSON envelope.
+// HTTP surface of the continuous-query session subsystem; like every
+// /v1 endpoint, its errors are the uniform JSON envelope.
 //
 //	POST   /v1/session             → open (JSON body, see sessionOpenWire)
 //	POST   /v1/session/{id}/move   → position update (JSON body {"x","y"})
@@ -96,7 +92,7 @@ type sessionEventsResp struct {
 // using Go 1.22 method+wildcard patterns.
 func (db *DB) registerSessionRoutes(mux *http.ServeMux) {
 	handle := func(pattern, label string, h http.HandlerFunc) {
-		mux.Handle(pattern, db.instrumentHTTP(label, h))
+		mux.Handle(pattern, instrumentHTTP(db.reg, label, h))
 	}
 	handle("POST /v1/session", "/v1/session", db.handleSessionOpen)
 	handle("POST /v1/session/{id}/move", "/v1/session/move", db.handleSessionMove)
@@ -124,8 +120,7 @@ func writeSessionError(w http.ResponseWriter, r *http.Request, err error) {
 
 func (db *DB) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 	var body sessionOpenWire
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		writeJSONError(w, http.StatusBadRequest, "bad session body: "+err.Error())
+	if !decodeBody(w, r, "session body", &body) {
 		return
 	}
 	var (
@@ -171,8 +166,7 @@ func (db *DB) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 
 func (db *DB) handleSessionMove(w http.ResponseWriter, r *http.Request) {
 	var body sessionMoveWire
-	if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-		writeJSONError(w, http.StatusBadRequest, "bad move body: "+err.Error())
+	if !decodeBody(w, r, "move body", &body) {
 		return
 	}
 	res, err := db.MoveSession(r.Context(), r.PathValue("id"), Pt(body.X, body.Y))
@@ -243,46 +237,6 @@ func parseUint64Query(r *http.Request, name string, def uint64) (uint64, error) 
 	return v, err
 }
 
-// sessionDo issues one session-protocol request and returns the body,
-// translating the envelope statuses back into the sentinel errors, so
-// a remote session surfaces the same ErrSessionNotFound /
-// ErrSessionExpired a local one does.
-func (c *RemoteClient) sessionDo(ctx context.Context, method, path string, body interface{}) ([]byte, error) {
-	var rd io.Reader
-	if body != nil {
-		payload, err := json.Marshal(body)
-		if err != nil {
-			return nil, err
-		}
-		rd = bytes.NewReader(payload)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, c.Base+path, rd)
-	if err != nil {
-		return nil, err
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	c.applyHeader(req)
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	out, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	switch resp.StatusCode {
-	case http.StatusOK, http.StatusNoContent:
-		return out, nil
-	}
-	// The typed error compares equal (errors.Is) to ErrSessionNotFound /
-	// ErrSessionExpired / ErrSessionLimit via its status, and carries the
-	// envelope code and message for errors.As inspection.
-	return nil, newRemoteError(resp.StatusCode, out)
-}
-
 // MovingClient is the mobile side of a continuous NN session: it holds
 // the latest result with its validity region, answers position updates
 // locally while the region stays valid, and reports movement to the
@@ -307,7 +261,7 @@ type MovingClient struct {
 // at start and returns the moving-client handle with its first result
 // already cached.
 func (c *RemoteClient) OpenMoving(ctx context.Context, start Point, k int) (*MovingClient, error) {
-	body, err := c.sessionDo(ctx, http.MethodPost, "/v1/session",
+	body, err := c.do(ctx, http.MethodPost, "/v1/session",
 		sessionOpenWire{Type: "nn", X: start.X, Y: start.Y, K: k})
 	if err != nil {
 		return nil, err
@@ -340,7 +294,7 @@ func (mc *MovingClient) At(ctx context.Context, p Point) (*NNValidity, error) {
 		mc.Stats.CacheHits++
 		return mc.nn, nil
 	}
-	body, err := mc.c.sessionDo(ctx, http.MethodPost, "/v1/session/"+mc.id+"/move",
+	body, err := mc.c.do(ctx, http.MethodPost, "/v1/session/"+mc.id+"/move",
 		sessionMoveWire{X: p.X, Y: p.Y})
 	if err != nil {
 		return nil, err
@@ -373,7 +327,7 @@ func (mc *MovingClient) At(ctx context.Context, p Point) (*NNValidity, error) {
 func (mc *MovingClient) PollEvents(ctx context.Context, wait time.Duration) (bool, error) {
 	path := fmt.Sprintf("/v1/session/%s/events?since=%d&timeout_ms=%d",
 		mc.id, mc.seq, wait.Milliseconds())
-	body, err := mc.c.sessionDo(ctx, http.MethodGet, path, nil)
+	body, err := mc.c.do(ctx, http.MethodGet, path, nil)
 	if err != nil {
 		return false, err
 	}
@@ -390,6 +344,6 @@ func (mc *MovingClient) PollEvents(ctx context.Context, wait time.Duration) (boo
 
 // Close releases the server-side session.
 func (mc *MovingClient) Close(ctx context.Context) error {
-	_, err := mc.c.sessionDo(ctx, http.MethodDelete, "/v1/session/"+mc.id, nil)
+	_, err := mc.c.do(ctx, http.MethodDelete, "/v1/session/"+mc.id, nil)
 	return err
 }

@@ -1,12 +1,10 @@
 package lbsq
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 
@@ -24,6 +22,12 @@ import (
 // maxWireBatch bounds one POST /v1/batch request: a larger batch is a
 // client error, not a memory-exhaustion vector.
 const maxWireBatch = 4096
+
+// maxWireBody bounds every JSON request body (batch and session POSTs)
+// before it is decoded: 512 bytes per request — a full-precision
+// window request is under 300 — times maxWireBatch, so every batch the
+// request limit admits fits, and nothing much larger is ever read.
+const maxWireBody = maxWireBatch * 512
 
 // batchWireOps maps the wire op names onto batch ops (and back).
 var batchWireOps = map[string]BatchOp{
@@ -196,42 +200,58 @@ func fromWireResponses(wire []batchWireResp, universe Rect) ([]BatchResponse, er
 	return resps, nil
 }
 
-// batchHandler serves POST /v1/batch (and its legacy alias): decode the
-// JSON batch, run it through the executor — cache, coalescing, grouped
-// shard scatter and all — and frame the answers back out.
-func (db *DB) batchHandler(ew errorWriter) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			ew(w, http.StatusMethodNotAllowed, "batch requires POST")
-			return
-		}
-		var body struct {
-			Requests []batchWireReq `json:"requests"`
-		}
-		if err := json.NewDecoder(r.Body).Decode(&body); err != nil {
-			ew(w, http.StatusBadRequest, "bad batch body: "+err.Error())
-			return
-		}
-		if len(body.Requests) > maxWireBatch {
-			ew(w, http.StatusBadRequest,
-				fmt.Sprintf("batch of %d exceeds the %d-request limit", len(body.Requests), maxWireBatch))
-			return
-		}
-		reqs, err := toWireRequests(body.Requests)
-		if err != nil {
-			ew(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		resps, err := db.Batch(r.Context(), reqs)
-		if err != nil {
-			writeQueryError(ew, w, r, err)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(struct {
-			Responses []batchWireResp `json:"responses"`
-		}{toWireResponses(resps)})
+// handleBatch serves POST /v1/batch: decode the JSON batch, run it
+// through the executor — cache, coalescing, grouped shard scatter and
+// all — and frame the answers back out.
+func (db *DB) handleBatch(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodPost {
+		writeJSONError(w, http.StatusMethodNotAllowed, "batch requires POST")
+		return
 	}
+	var body struct {
+		Requests []batchWireReq `json:"requests"`
+	}
+	if !decodeBody(w, r, "batch body", &body) {
+		return
+	}
+	if len(body.Requests) > maxWireBatch {
+		writeJSONError(w, http.StatusBadRequest,
+			fmt.Sprintf("batch of %d exceeds the %d-request limit", len(body.Requests), maxWireBatch))
+		return
+	}
+	reqs, err := toWireRequests(body.Requests)
+	if err != nil {
+		writeJSONError(w, http.StatusBadRequest, err.Error())
+		return
+	}
+	resps, err := db.Batch(r.Context(), reqs)
+	if err != nil {
+		writeQueryError(w, r, err)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	json.NewEncoder(w).Encode(struct {
+		Responses []batchWireResp `json:"responses"`
+	}{toWireResponses(resps)})
+}
+
+// decodeBody decodes the JSON body of a POST into v, reading at most
+// maxWireBody bytes. On failure it writes the error envelope itself —
+// 413 for an oversized body, 400 for a malformed one — and returns
+// false.
+func decodeBody(w http.ResponseWriter, r *http.Request, what string, v interface{}) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxWireBody)).Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooLarge):
+		writeJSONError(w, http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("%s exceeds the %d-byte limit", what, maxWireBody))
+	default:
+		writeJSONError(w, http.StatusBadRequest, "bad "+what+": "+err.Error())
+	}
+	return false
 }
 
 // RemoteOption configures a RemoteClient built by NewRemoteClient.
@@ -245,14 +265,14 @@ func WithTimeout(d time.Duration) RemoteOption {
 	return func(c *RemoteClient) {
 		hc := *c.httpClient()
 		hc.Timeout = d
-		c.HTTP = &hc
+		c.hc = &hc
 	}
 }
 
 // WithHTTPClient uses hc for every request — bring your own transport,
 // proxy, or TLS configuration.
 func WithHTTPClient(hc *http.Client) RemoteOption {
-	return func(c *RemoteClient) { c.HTTP = hc }
+	return func(c *RemoteClient) { c.hc = hc }
 }
 
 // WithBaseHeader adds a header to every request the client issues —
@@ -270,57 +290,17 @@ func WithBaseHeader(key, value string) RemoteOption {
 // WithSession enables incremental (delta) NN transfer under the given
 // session id: the server remembers which items this session has seen.
 func WithSession(id string) RemoteOption {
-	return func(c *RemoteClient) { c.Session = id }
+	return func(c *RemoteClient) { c.session = id }
 }
 
 // NewRemoteClient returns a client for a DB served by Handler at base
-// (e.g. "http://localhost:8080"), configured by opts. This constructor
-// is the canonical way to build a client; mutating the exported struct
-// fields directly is deprecated and retained only for compatibility.
+// (e.g. "http://localhost:8080"), configured by opts.
 func NewRemoteClient(base string, opts ...RemoteOption) *RemoteClient {
 	c := &RemoteClient{Base: base}
 	for _, o := range opts {
 		o(c)
 	}
 	return c
-}
-
-// post issues one JSON POST and returns the response body; non-2xx
-// responses are surfaced as errors carrying the body (for /v1 paths,
-// the JSON error envelope).
-func (c *RemoteClient) post(ctx context.Context, path string, body interface{}) ([]byte, error) {
-	payload, err := json.Marshal(body)
-	if err != nil {
-		return nil, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.Base+path, bytes.NewReader(payload))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	c.applyHeader(req)
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	out, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, newRemoteError(resp.StatusCode, out)
-	}
-	return out, nil
-}
-
-// applyHeader stamps the client's base headers onto one request.
-func (c *RemoteClient) applyHeader(req *http.Request) {
-	for k, vs := range c.header {
-		for _, v := range vs {
-			req.Header.Add(k, v)
-		}
-	}
 }
 
 // Batch executes a heterogeneous batch of queries in one POST
@@ -333,7 +313,7 @@ func (c *RemoteClient) Batch(ctx context.Context, reqs []BatchRequest) ([]BatchR
 	if err != nil {
 		return nil, err
 	}
-	body, err := c.post(ctx, "/v1/batch", struct {
+	body, err := c.do(ctx, http.MethodPost, "/v1/batch", struct {
 		Requests []batchWireReq `json:"requests"`
 	}{wire})
 	if err != nil {

@@ -14,10 +14,12 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"lbsq/internal/core"
 )
 
-// fetch GETs path and returns status, content type and body.
-func fetch(t *testing.T, base, path string) (int, string, []byte) {
+// fetch GETs path and returns status, headers and body.
+func fetch(t *testing.T, base, path string) (int, http.Header, []byte) {
 	t.Helper()
 	resp, err := http.Get(base + path)
 	if err != nil {
@@ -28,12 +30,13 @@ func fetch(t *testing.T, base, path string) (int, string, []byte) {
 	if err != nil {
 		t.Fatalf("read %s: %v", path, err)
 	}
-	return resp.StatusCode, resp.Header.Get("Content-Type"), body
+	return resp.StatusCode, resp.Header, body
 }
 
-// TestV1AliasesLegacyPayloads locks the v1 contract: every success
-// payload is byte-identical between the legacy path and its /v1 twin.
-func TestV1AliasesLegacyPayloads(t *testing.T) {
+// TestV1PayloadsMatchLocalAPI locks the wire contract: every /v1
+// query payload is byte-identical to the Encode* form of the local
+// API's answer, and /v1/info reports the local count and universe.
+func TestV1PayloadsMatchLocalAPI(t *testing.T) {
 	items, uni := UniformDataset(3000, 11)
 	db, err := Open(items, uni, nil)
 	if err != nil {
@@ -41,33 +44,85 @@ func TestV1AliasesLegacyPayloads(t *testing.T) {
 	}
 	srv := httptest.NewServer(db.Handler())
 	defer srv.Close()
+	ctx := context.Background()
 
-	paths := []string{
-		"/nn?x=0.4&y=0.6&k=3",
-		"/window?x=0.5&y=0.5&qx=0.05&qy=0.05",
-		"/range?x=0.3&y=0.7&r=0.04",
-		"/route?x1=0.1&y1=0.5&x2=0.2&y2=0.5",
-		"/info",
+	nn, _, err := db.NN(ctx, Pt(0.4, 0.6), 3)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, p := range paths {
-		legacyCode, legacyCT, legacy := fetch(t, srv.URL, p)
-		v1Code, v1CT, v1 := fetch(t, srv.URL, "/v1"+p)
-		if legacyCode != http.StatusOK || v1Code != http.StatusOK {
-			t.Fatalf("%s: status legacy=%d v1=%d", p, legacyCode, v1Code)
+	wv, _, err := db.WindowAt(ctx, Pt(0.5, 0.5), 0.05, 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rv, _, err := db.Range(ctx, Pt(0.3, 0.7), 0.04)
+	if err != nil {
+		t.Fatal(err)
+	}
+	route, err := db.RouteNN(ctx, Pt(0.1, 0.5), Pt(0.2, 0.5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		path string
+		want []byte
+	}{
+		{"/v1/nn?x=0.4&y=0.6&k=3", EncodeNN(nn)},
+		{"/v1/window?x=0.5&y=0.5&qx=0.05&qy=0.05", EncodeWindow(wv)},
+		{"/v1/range?x=0.3&y=0.7&r=0.04", EncodeRange(rv)},
+		{"/v1/route?x1=0.1&y1=0.5&x2=0.2&y2=0.5", core.EncodeRoute(route)},
+	} {
+		code, hdr, body := fetch(t, srv.URL, tc.path)
+		if ct := hdr.Get("Content-Type"); code != http.StatusOK || ct != "application/octet-stream" {
+			t.Fatalf("%s: status %d, content type %q", tc.path, code, ct)
 		}
-		if legacyCT != v1CT {
-			t.Errorf("%s: content type legacy=%q v1=%q", p, legacyCT, v1CT)
+		if !bytes.Equal(body, tc.want) {
+			t.Errorf("%s: payload differs from the local answer's encoding (%d vs %d bytes)",
+				tc.path, len(body), len(tc.want))
 		}
-		if !bytes.Equal(legacy, v1) {
-			t.Errorf("%s: payload differs between legacy and /v1 (%d vs %d bytes)",
-				p, len(legacy), len(v1))
-		}
+	}
+
+	code, hdr, body := fetch(t, srv.URL, "/v1/info")
+	var info struct {
+		Count    int        `json:"count"`
+		Universe [4]float64 `json:"universe"`
+	}
+	if ct := hdr.Get("Content-Type"); code != http.StatusOK || ct != "application/json" || json.Unmarshal(body, &info) != nil {
+		t.Fatalf("/v1/info: status %d, content type %q, body %q", code, ct, body)
+	}
+	if info.Count != db.Len() || info.Universe != [4]float64{uni.MinX, uni.MinY, uni.MaxX, uni.MaxY} {
+		t.Errorf("/v1/info = %+v, want count %d universe %v", info, db.Len(), uni)
 	}
 }
 
-// TestV1ErrorEnvelope locks the error contract: /v1 errors are the
-// uniform JSON envelope {"error": ..., "code": ...} on every endpoint,
-// while legacy paths keep plain text.
+// TestUnversionedPathsGone: the query surface lives under /v1 only.
+func TestUnversionedPathsGone(t *testing.T) {
+	items, uni := UniformDataset(200, 12)
+	db, err := Open(items, uni, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(db.Handler())
+	defer srv.Close()
+	for _, p := range []string{
+		"/nn?x=0.5&y=0.5&k=1", "/window?x=0.5&y=0.5&qx=0.1&qy=0.1", "/range?x=0.5&y=0.5&r=0.1",
+		"/route?x1=0&y1=0&x2=1&y2=1", "/info", "/metrics",
+	} {
+		if code, _, _ := fetch(t, srv.URL, p); code != http.StatusNotFound {
+			t.Errorf("GET %s: status %d, want 404", p, code)
+		}
+	}
+	resp, err := http.Post(srv.URL+"/batch", "application/json", strings.NewReader(`{"requests":[]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("POST /batch: status %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestV1ErrorEnvelope locks the error contract: errors are the uniform
+// JSON envelope {"error": ..., "code": ...} on every endpoint.
 func TestV1ErrorEnvelope(t *testing.T) {
 	items, uni := UniformDataset(500, 12)
 	db, err := Open(items, uni, nil)
@@ -81,34 +136,26 @@ func TestV1ErrorEnvelope(t *testing.T) {
 		path string
 		code int
 	}{
-		{"/nn?x=0.5&y=0.5&k=0", http.StatusBadRequest}, // bad k
-		{"/nn?x=bogus&y=0.5", http.StatusBadRequest},   // bad coordinate
-		{"/window?x=0.5&y=0.5&qx=-1&qy=0.1", http.StatusBadRequest},
-		{"/range?x=0.5&y=0.5&r=0", http.StatusBadRequest},
-		{"/nn?x=0.5&y=0.5&k=100000", http.StatusUnprocessableEntity}, // k > n
+		{"/v1/nn?x=0.5&y=0.5&k=0", http.StatusBadRequest}, // bad k
+		{"/v1/nn?x=bogus&y=0.5", http.StatusBadRequest},   // bad coordinate
+		{"/v1/window?x=0.5&y=0.5&qx=-1&qy=0.1", http.StatusBadRequest},
+		{"/v1/range?x=0.5&y=0.5&r=0", http.StatusBadRequest},
+		{"/v1/nn?x=0.5&y=0.5&k=100000", http.StatusUnprocessableEntity}, // k > n
 	}
 	for _, tc := range cases {
-		code, ct, body := fetch(t, srv.URL, "/v1"+tc.path)
+		code, hdr, body := fetch(t, srv.URL, tc.path)
 		if code != tc.code {
-			t.Errorf("/v1%s: status %d, want %d", tc.path, code, tc.code)
+			t.Errorf("%s: status %d, want %d", tc.path, code, tc.code)
 		}
-		if !strings.HasPrefix(ct, "application/json") {
-			t.Errorf("/v1%s: content type %q, want JSON envelope", tc.path, ct)
+		if ct := hdr.Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
+			t.Errorf("%s: content type %q, want JSON envelope", tc.path, ct)
 		}
 		var env struct {
 			Error string `json:"error"`
 			Code  int    `json:"code"`
 		}
 		if err := json.Unmarshal(body, &env); err != nil || env.Error == "" || env.Code != tc.code {
-			t.Errorf("/v1%s: body %q is not the error envelope (err=%v)", tc.path, body, err)
-		}
-
-		legacyCode, legacyCT, _ := fetch(t, srv.URL, tc.path)
-		if legacyCode != tc.code {
-			t.Errorf("%s: legacy status %d, want %d", tc.path, legacyCode, tc.code)
-		}
-		if strings.HasPrefix(legacyCT, "application/json") {
-			t.Errorf("%s: legacy error unexpectedly JSON", tc.path)
+			t.Errorf("%s: body %q is not the error envelope (err=%v)", tc.path, body, err)
 		}
 	}
 }
@@ -243,6 +290,43 @@ func TestBatchHTTPRejects(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /v1/batch: got %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestOversizedBodyRejected: a batch or session body over maxWireBody
+// is cut off while it is read and answered 413 in the error envelope,
+// and the server goes on serving.
+func TestOversizedBodyRejected(t *testing.T) {
+	items, uni := UniformDataset(500, 16)
+	db, err := Open(items, uni, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(db.Handler())
+	defer srv.Close()
+
+	post := func(path, body string) (int, []byte) {
+		t.Helper()
+		resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, b
+	}
+	const req = `{"op":"nn","x":0.5,"y":0.5,"k":1},`
+	huge := `{"requests":[` + strings.Repeat(req, maxWireBody/len(req)+1) + `{"op":"nn"}]}`
+	for _, path := range []string{"/v1/batch", "/v1/session"} {
+		code, body := post(path, huge)
+		var env errorEnvelope
+		if code != http.StatusRequestEntityTooLarge || json.Unmarshal(body, &env) != nil ||
+			env.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("oversized POST %s: got %d %q, want the 413 envelope", path, code, body)
+		}
+	}
+	if code, body := post("/v1/batch", `{"requests":[`+strings.TrimSuffix(req, ",")+`]}`); code != http.StatusOK {
+		t.Errorf("batch after an oversized one: got %d %q", code, body)
 	}
 }
 

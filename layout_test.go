@@ -3,8 +3,6 @@ package lbsq
 import (
 	"context"
 	"errors"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 )
@@ -170,48 +168,5 @@ func TestArenaRefreshOnWrite(t *testing.T) {
 	}
 	if len(nbs) == 1 && nbs[0].Item.ID == extra.ID {
 		t.Fatal("deleted item still served by arena read path")
-	}
-}
-
-// TestOpenIndexDefaultsToArena checks the read-only snapshot path
-// auto-selects the arena layout (and that LayoutPointer opts out).
-func TestOpenIndexDefaultsToArena(t *testing.T) {
-	items, uni := UniformDataset(400, 6)
-	src, err := Open(items, uni, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "snap.idx")
-	if err := src.SaveIndex(path); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(path); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := OpenIndex(path, uni, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !snap.Server().UsingArena() {
-		t.Fatal("OpenIndex did not default to the arena layout")
-	}
-	ptr, err := OpenIndex(path, uni, &Options{Layout: LayoutPointer})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ptr.Server().UsingArena() {
-		t.Fatal("OpenIndex ignored LayoutPointer")
-	}
-	ctx := context.Background()
-	v1, _, err := snap.NN(ctx, Pt(0.5, 0.5), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2, _, err := src.NN(ctx, Pt(0.5, 0.5), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(v1.Neighbors, v2.Neighbors) {
-		t.Fatal("snapshot arena answers differ from source DB")
 	}
 }

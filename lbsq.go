@@ -49,8 +49,9 @@ import (
 
 // ErrShardedUnsupported is returned by operations that require a single
 // server when the DB runs as a shard cluster (Options.Shards > 1): the
-// baseline clients replay the paper's single-server experiments and
-// index persistence snapshots one tree.
+// baseline clients replay the paper's single-server experiments, and
+// durability (DataDir, OpenDir), the arena layout and the INSQ session
+// strategy are built on one tree.
 var ErrShardedUnsupported = errors.New("operation requires an unsharded DB (Options.Shards ≤ 1)")
 
 // ErrNotDurable is returned by persistence operations (Checkpoint,
@@ -97,8 +98,7 @@ const (
 	// contiguous memory; writes pay a full re-freeze, so the layout
 	// suits read-mostly workloads. Results, node-access and page-access
 	// costs are identical to the pointer layout by construction.
-	// Incompatible with Shards > 1. The default for OpenIndex
-	// (read-only snapshots).
+	// Incompatible with Shards > 1.
 	LayoutArena = "arena"
 )
 
@@ -895,7 +895,7 @@ func (db *DB) Range(ctx context.Context, center Point, radius float64) (*RangeVa
 // NewRangeClient returns a mobile client maintaining a fixed-radius
 // range query around its position.
 func (db *DB) NewRangeClient(radius float64) *RangeClient {
-	return core.NewRangeClient(db.engine(), radius)
+	return core.NewRangeClient(db.clientEngine(), radius)
 }
 
 // KNearest returns the k nearest neighbors of q (a plain NN query,
@@ -949,68 +949,6 @@ func RouteNNAt(intervals []RouteInterval, t float64) (RouteInterval, bool) {
 	return tp.NNAt(intervals, t)
 }
 
-// SaveIndex persists the R*-tree to a paged index file (one node per
-// checksummed page), written atomically: the pages go to a temporary
-// file renamed over path, so a crash mid-save never corrupts an
-// existing snapshot. Sharded DBs cannot be saved: persist the items
-// and re-open with the same shard options.
-//
-// Deprecated: SaveIndex writes a read-only snapshot with no write-ahead
-// log; mutations after the save are lost. The canonical persistence
-// surface is Options.DataDir / OpenDir / DB.Checkpoint, which keeps
-// every acknowledged write durable.
-func (db *DB) SaveIndex(path string) error {
-	if db.cluster != nil {
-		return fmt.Errorf("lbsq: SaveIndex: %w", ErrShardedUnsupported)
-	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	//lbsq:allowblock — deprecated snapshot path: the read lock must cover the full tree walk so the saved image is consistent
-	return storage.SaveSnapshot(path, db.server.Tree)
-}
-
-// OpenIndex loads a DB from an index file written by SaveIndex. The
-// universe and options must match the original Open call. Because the
-// snapshot is read-only, OpenIndex defaults to the flat arena layout;
-// set Options.Layout to LayoutPointer to keep linked nodes.
-//
-// Deprecated: OpenIndex reads the old snapshot-only format; it cannot
-// replay writes. The canonical persistence surface is OpenDir over a
-// data directory written with Options.DataDir.
-func OpenIndex(path string, universe Rect, opts *Options) (*DB, error) {
-	if universe.IsEmpty() || geom.ExactZero(universe.Area()) {
-		return nil, fmt.Errorf("lbsq: universe must have positive area")
-	}
-	var o Options
-	if opts != nil {
-		o = *opts
-	}
-	if err := o.validate(); err != nil {
-		return nil, err
-	}
-	pf, err := storage.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	tree, err := storage.LoadTree(pf, rtree.Options{PageSize: o.PageSize})
-	if cerr := pf.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return nil, err
-	}
-	srv := core.NewServer(tree, universe)
-	if o.BufferFraction > 0 {
-		srv.AttachBuffer(o.BufferFraction)
-	}
-	// Snapshot opens are read-mostly by definition: default to the flat
-	// arena layout unless the caller explicitly asked for pointers.
-	if o.Layout != LayoutPointer {
-		srv.UseArena()
-	}
-	return (&DB{server: srv}).instrument(&o), nil
-}
-
 // Server exposes the underlying query server for advanced use
 // (buffer control, direct access accounting). It is nil for a sharded
 // DB — use Cluster instead.
@@ -1021,12 +959,53 @@ func (db *DB) Server() *core.Server { return db.server }
 func (db *DB) Cluster() *shard.Cluster { return db.cluster }
 
 // NewNNClient returns a mobile client for k-NN queries against this DB.
-func (db *DB) NewNNClient(k int) *NNClient { return core.NewNNClient(db.engine(), k) }
+func (db *DB) NewNNClient(k int) *NNClient { return core.NewNNClient(db.clientEngine(), k) }
 
 // NewWindowClient returns a mobile client maintaining a qx×qy window.
 func (db *DB) NewWindowClient(qx, qy float64) *WindowClient {
-	return core.NewWindowClient(db.engine(), qx, qy)
+	return core.NewWindowClient(db.clientEngine(), qx, qy)
 }
+
+// clientEngine is the engine the mobile clients query: the shard
+// cluster, which locks each shard itself, or the single server behind
+// the DB's read lock — so a client moving while Insert or Delete runs
+// never reads a tree mid-mutation.
+func (db *DB) clientEngine() core.QueryEngine {
+	if db.cluster != nil {
+		return db.cluster
+	}
+	return lockedServer{db}
+}
+
+// lockedServer runs each query of the single server under db.mu's
+// read lock.
+type lockedServer struct{ db *DB }
+
+func (l lockedServer) NNQuery(q Point, k int) (*NNValidity, QueryCost, error) {
+	l.db.mu.RLock()
+	defer l.db.mu.RUnlock()
+	return l.db.server.NNQuery(q, k)
+}
+
+func (l lockedServer) WindowQuery(w Rect) (*WindowValidity, QueryCost) {
+	l.db.mu.RLock()
+	defer l.db.mu.RUnlock()
+	return l.db.server.WindowQuery(w)
+}
+
+func (l lockedServer) WindowQueryAt(focus Point, qx, qy float64) (*WindowValidity, QueryCost) {
+	l.db.mu.RLock()
+	defer l.db.mu.RUnlock()
+	return l.db.server.WindowQueryAt(focus, qx, qy)
+}
+
+func (l lockedServer) RangeQuery(center Point, radius float64) (*RangeValidity, QueryCost) {
+	l.db.mu.RLock()
+	defer l.db.mu.RUnlock()
+	return l.db.server.RangeQuery(center, radius)
+}
+
+func (l lockedServer) UniverseRect() Rect { return l.db.server.UniverseRect() }
 
 // NewSR01Client returns the [SR01] baseline client (m ≥ k buffered
 // neighbors). Baseline clients require an unsharded DB: they replay the

@@ -88,7 +88,7 @@ func (db *DB) SetTraceHook(h TraceHook) { db.hook.Store(h) }
 func (db *DB) Metrics() []Metric { return db.reg.Snapshot() }
 
 // WriteMetrics writes the DB's metrics in Prometheus text exposition
-// format (the payload of the server's /metrics endpoint).
+// format (the payload of the server's /v1/metrics endpoint).
 func (db *DB) WriteMetrics(w io.Writer) error { return db.reg.WritePrometheus(w) }
 
 // dbMetrics holds the DB facade's per-operation instruments. The shard

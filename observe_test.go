@@ -289,7 +289,7 @@ func parseExposition(t *testing.T, text string) map[string]float64 {
 }
 
 // TestMetricsEndpoint serves a sharded DB over HTTP, drives load
-// through the remote client, and checks /metrics returns valid
+// through the remote client, and checks /v1/metrics returns valid
 // exposition whose counters advanced.
 func TestMetricsEndpoint(t *testing.T) {
 	items, uni := UniformDataset(4000, 12)

@@ -165,9 +165,6 @@ func TestShardedUnsupported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.SaveIndex(t.TempDir() + "/idx.lbsq"); err == nil {
-		t.Fatal("SaveIndex on a sharded DB must error")
-	}
 	if _, err := db.NewZL01Client(0.01); err == nil {
 		t.Fatal("NewZL01Client on a sharded DB must error")
 	}
@@ -179,9 +176,6 @@ func TestShardedUnsupported(t *testing.T) {
 	}
 	if _, err := db.NewNaiveClient(1); !errors.Is(err, ErrShardedUnsupported) {
 		t.Errorf("NewNaiveClient on a sharded DB: err = %v, want ErrShardedUnsupported", err)
-	}
-	if err := db.SaveIndex(t.TempDir() + "/idx2.lbsq"); !errors.Is(err, ErrShardedUnsupported) {
-		t.Errorf("SaveIndex on a sharded DB: err = %v, want ErrShardedUnsupported", err)
 	}
 
 	if _, err := OpenSharded(items, uni, 0, nil); err == nil {
