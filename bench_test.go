@@ -15,6 +15,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 	"strconv"
@@ -22,8 +23,13 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"lbsq/internal/core"
+	"lbsq/internal/dataset"
 	"lbsq/internal/experiments"
+	"lbsq/internal/geom"
 	"lbsq/internal/nn"
+	"lbsq/internal/rtree"
+	"lbsq/internal/shard"
 )
 
 func benchConfig() experiments.Config {
@@ -299,6 +305,51 @@ func BenchmarkShardScaling(b *testing.B) {
 					}
 				})
 				b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "qps")
+			})
+		}
+	}
+}
+
+// BenchmarkClusterWindow is the A/B bench of the sharded window query:
+// the same fresh data-conforming windows, at the paper's three window
+// areas, on a 4-part kd-median shard.Cluster ("cluster") and on one
+// core.Server over the same NA-like 100k items ("single"). Neither has
+// a validity cache, so every query runs both phases; na/op is the
+// paper's node accesses per query.
+//
+//	go test -run=NONE -bench=ClusterWindow -benchmem
+func BenchmarkClusterWindow(b *testing.B) {
+	d := dataset.NALike(100_000, 2003)
+	single := core.NewServer(rtree.BulkLoad(d.Items, rtree.Options{}, 0), d.Universe)
+	cluster, err := shard.NewCluster(d.Items, d.Universe, shard.Options{Shards: 4, Strategy: shard.KDMedian})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(11))
+	pts := make([]Point, 4096)
+	for i := range pts {
+		it := d.Items[rng.Intn(len(d.Items))]
+		pts[i] = Pt(it.P.X+(rng.Float64()-0.5)*0.01*d.Universe.Width(),
+			it.P.Y+(rng.Float64()-0.5)*0.01*d.Universe.Height())
+	}
+	engines := []struct {
+		name   string
+		window func(Rect) (*WindowValidity, QueryCost)
+	}{
+		{"cluster", cluster.WindowQuery},
+		{"single", single.WindowQuery},
+	}
+	for _, area := range []float64{0.0001, 0.001, 0.01} {
+		qx, qy := math.Sqrt(area)*d.Universe.Width(), math.Sqrt(area)*d.Universe.Height()
+		for _, e := range engines {
+			b.Run(fmt.Sprintf("area=%g%%/%s", 100*area, e.name), func(b *testing.B) {
+				b.ReportAllocs()
+				var na int64
+				for i := 0; i < b.N; i++ {
+					_, cost := e.window(geom.RectCenteredAt(pts[i%len(pts)], qx, qy))
+					na += cost.Total()
+				}
+				b.ReportMetric(float64(na)/float64(b.N), "na/op")
 			})
 		}
 	}

@@ -170,3 +170,74 @@ func TestMobileClientsDuringWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestBaselineClientsDuringWrites builds the ZL01 diagram and runs
+// the SR01, TP02, naive and ZL01 baseline clients while another
+// goroutine deletes and re-inserts stored points (run with -race: every
+// baseline read of the tree must hold the DB's read lock). The writes
+// keep the set of sites, so the ZL01 diagram stays complete.
+func TestBaselineClientsDuringWrites(t *testing.T) {
+	items, uni := UniformDataset(2000, 6)
+	db, err := Open(items, uni, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	writerErr := make(chan error, 1)
+	go func() {
+		defer close(writerErr)
+		rng := rand.New(rand.NewSource(7))
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			it := items[rng.Intn(len(items))]
+			if _, err := db.Delete(it); err != nil {
+				writerErr <- err
+				return
+			}
+			if err := db.Insert(it); err != nil {
+				writerErr <- err
+				return
+			}
+		}
+	}()
+	sr, err := db.NewSR01Client(3, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tpc, err := db.NewTP02Client(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	naive, err := db.NewNaiveClient(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zl, err := db.NewZL01Client(0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(8))
+	for i := 0; i < 200; i++ {
+		p := Pt(rng.Float64(), rng.Float64())
+		if _, err := sr.At(p); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tpc.At(p, Pt(1, 0)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := naive.At(p); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := zl.At(p, float64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(done)
+	if err := <-writerErr; err != nil {
+		t.Fatal(err)
+	}
+}

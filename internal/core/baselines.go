@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"lbsq/internal/geom"
 	"lbsq/internal/nn"
@@ -69,13 +70,16 @@ type SR01Client struct {
 	K, M   int
 	Stats  ClientStats
 
+	// lock, when set, is held around each server query — the read lock
+	// of whoever mutates Server, so no query reads a tree mid-write.
+	lock   sync.Locker
 	cached *SR01Response
 }
 
 // NewSR01Client returns an [SR01] client retrieving m neighbors per
-// server query to answer k-NN requests.
-func NewSR01Client(s *Server, k, m int) *SR01Client {
-	return &SR01Client{Server: s, K: k, M: m}
+// server query to answer k-NN requests; lock may be nil.
+func NewSR01Client(s *Server, lock sync.Locker, k, m int) *SR01Client {
+	return &SR01Client{Server: s, lock: lock, K: k, M: m}
 }
 
 // At returns the k nearest neighbors of p, using the buffered m
@@ -86,7 +90,7 @@ func (c *SR01Client) At(p geom.Point) ([]rtree.Item, error) {
 		c.Stats.CacheHits++
 		return c.cached.ResultAt(p), nil
 	}
-	r, err := SR01Query(c.Server.Index, p, c.K, c.M)
+	r, err := locked(c.lock, func() (*SR01Response, error) { return SR01Query(c.Server.Index, p, c.K, c.M) })
 	if err != nil {
 		return nil, err
 	}
@@ -154,13 +158,14 @@ type TP02Client struct {
 	Horizon float64
 	Stats   ClientStats
 
+	lock   sync.Locker // held around each server query (see SR01Client)
 	cached *TP02Response
 }
 
-// NewTP02Client returns a TP-query client.
-func NewTP02Client(s *Server, k int) *TP02Client {
+// NewTP02Client returns a TP-query client; lock may be nil.
+func NewTP02Client(s *Server, lock sync.Locker, k int) *TP02Client {
 	diag := geom.Pt(s.Universe.Width(), s.Universe.Height()).Norm()
-	return &TP02Client{Server: s, K: k, Horizon: diag}
+	return &TP02Client{Server: s, lock: lock, K: k, Horizon: diag}
 }
 
 // At returns the k nearest neighbors at p given the client's current
@@ -172,7 +177,7 @@ func (c *TP02Client) At(p geom.Point, u geom.Point) ([]rtree.Item, error) {
 		c.Stats.CacheHits++
 		return c.cached.Members, nil
 	}
-	r, err := TP02NNQuery(c.Server.Index, p, u, c.K, c.Horizon)
+	r, err := locked(c.lock, func() (*TP02Response, error) { return TP02NNQuery(c.Server.Index, p, u, c.K, c.Horizon) })
 	if err != nil {
 		return nil, err
 	}
@@ -192,15 +197,19 @@ type NaiveClient struct {
 	Server *Server
 	K      int
 	Stats  ClientStats
+
+	lock sync.Locker // held around each server query (see SR01Client)
 }
 
-// NewNaiveClient returns a naive re-querying client.
-func NewNaiveClient(s *Server, k int) *NaiveClient { return &NaiveClient{Server: s, K: k} }
+// NewNaiveClient returns a naive re-querying client; lock may be nil.
+func NewNaiveClient(s *Server, lock sync.Locker, k int) *NaiveClient {
+	return &NaiveClient{Server: s, lock: lock, K: k}
+}
 
 // At always queries the server.
 func (c *NaiveClient) At(p geom.Point) ([]rtree.Item, error) {
 	c.Stats.PositionUpdates++
-	nbs := nn.KNearest(c.Server.Index, p, c.K)
+	nbs, _ := locked(c.lock, func() ([]nn.Neighbor, error) { return nn.KNearest(c.Server.Index, p, c.K), nil })
 	if len(nbs) < c.K {
 		return nil, fmt.Errorf("core: dataset has fewer than %d points", c.K)
 	}
@@ -211,4 +220,13 @@ func (c *NaiveClient) At(p geom.Point) ([]rtree.Item, error) {
 		out[i] = nb.Item
 	}
 	return out, nil
+}
+
+// locked runs fn holding l, or without a lock when l is nil.
+func locked[T any](l sync.Locker, fn func() (T, error)) (T, error) {
+	if l != nil {
+		l.Lock()
+		defer l.Unlock()
+	}
+	return fn()
 }

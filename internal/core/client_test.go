@@ -132,7 +132,7 @@ func TestValidityClientBeatsNaive(t *testing.T) {
 	path := walk(rng, 500, 0.001)
 
 	vc := NewNNClient(s, 1)
-	nc := NewNaiveClient(s, 1)
+	nc := NewNaiveClient(s, nil, 1)
 	for _, p := range path {
 		if _, err := vc.At(p); err != nil {
 			t.Fatal(err)
@@ -154,7 +154,7 @@ func TestSR01ClientExactWhenValid(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	tree, items := buildTree(rng, 3000)
 	s := NewServer(tree, universe)
-	c := NewSR01Client(s, 2, 8)
+	c := NewSR01Client(s, nil, 2, 8)
 	for _, p := range walk(rng, 300, 0.001) {
 		got, err := c.At(p)
 		if err != nil {
@@ -207,7 +207,7 @@ func TestTP02ClientStraightLine(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	tree, items := buildTree(rng, 2000)
 	s := NewServer(tree, universe)
-	c := NewTP02Client(s, 1)
+	c := NewTP02Client(s, nil, 1)
 	u := geom.Pt(1, 0)
 	p := geom.Pt(0.1, 0.5)
 	for i := 0; i < 400; i++ {

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 
 	"lbsq/internal/geom"
@@ -65,26 +67,15 @@ func WindowQuery(ix rtree.Index, w geom.Rect, universe geom.Rect) *WindowValidit
 // between the result retrieval and the extended candidate search so
 // callers can snapshot access counters per phase.
 func windowQuery(ix rtree.Index, w geom.Rect, universe geom.Rect, afterResultPhase func()) *WindowValidity {
-	qx, qy := w.Width(), w.Height()
-	out := &WindowValidity{Window: w, Focus: w.Center()}
-
 	// Phase 1: retrieve the result and build the inner validity region.
-	out.Result = ix.SearchItems(w)
-	inner := universe
-	for _, it := range out.Result {
-		inner = inner.Intersect(geom.RectCenteredAt(it.P, qx, qy))
+	result := ix.SearchItems(w)
+	nearest := math.Inf(1)
+	if len(result) == 0 {
+		if nb, ok := nn.Nearest(ix, w.Center()); ok {
+			nearest = nb.Dist
+		}
 	}
-	if len(out.Result) == 0 {
-		// Empty result: every focus position keeping the window empty is
-		// valid, which could make the region (universe minus the
-		// Minkowski rectangle of every point) arbitrarily complex. Bound
-		// the base to a local box scaled by the distance to the nearest
-		// point — a conservative but compact region; the paper's
-		// workloads (queries conforming to the data) never hit this.
-		inner = inner.Intersect(emptyResultBase(ix, out.Focus, qx, qy))
-	}
-	out.InnerRect = inner
-	out.Region = geom.NewRectRegion(inner)
+	inner := WindowInner(w, result, nearest, universe)
 	if afterResultPhase != nil {
 		afterResultPhase()
 	}
@@ -93,22 +84,62 @@ func windowQuery(ix rtree.Index, w geom.Rect, universe geom.Rect, afterResultPha
 	// q′ = inner ⊕ (qx/2, qy/2): exactly the points whose Minkowski
 	// rectangle can reach the inner region. Points inside w are the
 	// result itself and are skipped.
-	extended := inner.Inflate(qx/2, qy/2)
-	inResult := make(map[int64]bool, len(out.Result))
-	for _, it := range out.Result {
-		inResult[it.ID] = true
-	}
-	var holes []rtree.Item
-	ix.Search(extended, func(it rtree.Item) bool {
-		if inResult[it.ID] {
-			return true
-		}
-		out.CandidateOuter++
-		if out.Region.Subtract(geom.RectCenteredAt(it.P, qx, qy)) {
-			holes = append(holes, it)
+	var cands []rtree.Item
+	ix.Search(inner.Inflate(w.Width()/2, w.Height()/2), func(it rtree.Item) bool {
+		if !w.Contains(it.P) {
+			cands = append(cands, it)
 		}
 		return true
 	})
+	return WindowRegion(w, result, inner, universe, cands)
+}
+
+// WindowInner is the first step of a window answer: the inner validity
+// rectangle of result (the points inside w), the universe intersected
+// with every result point's qx×qy rectangle.
+//
+// An empty result is valid wherever no point enters the window, which
+// could make the region arbitrarily complex. Its base is bounded to a
+// box around the focus reaching a little past the nearest data point,
+// at distance nearest (+Inf for an empty dataset; ignored for a
+// non-empty result), so only that point's neighborhood cuts holes — a
+// conservative but compact region. The paper's workloads (queries
+// conforming to the data) never hit this case.
+func WindowInner(w geom.Rect, result []rtree.Item, nearest float64, universe geom.Rect) geom.Rect {
+	qx, qy := w.Width(), w.Height()
+	inner := universe
+	for _, it := range result {
+		inner = inner.Intersect(geom.RectCenteredAt(it.P, qx, qy))
+	}
+	if len(result) == 0 {
+		inner = inner.Intersect(geom.RectCenteredAt(w.Center(), 2*nearest+2*qx, 2*nearest+2*qy))
+	}
+	return inner
+}
+
+// WindowRegion is the second step of a window answer: the validity
+// region of result given its inner rectangle and the candidate outer
+// points, the points in q′ = inner ⊕ (qx/2, qy/2) outside w. Candidates
+// may arrive in any order: WindowRegion sorts cands by point id and
+// keeps the holes in that order, so an answer assembled from several
+// sources equals the single-index one.
+func WindowRegion(w geom.Rect, result []rtree.Item, inner, universe geom.Rect, cands []rtree.Item) *WindowValidity {
+	qx, qy := w.Width(), w.Height()
+	out := &WindowValidity{
+		Window:         w,
+		Focus:          w.Center(),
+		Result:         result,
+		InnerRect:      inner,
+		Region:         geom.NewRectRegion(inner),
+		CandidateOuter: len(cands),
+	}
+	slices.SortFunc(cands, func(a, b rtree.Item) int { return cmp.Compare(a.ID, b.ID) })
+	var holes []rtree.Item
+	for _, it := range cands {
+		if out.Region.Subtract(geom.RectCenteredAt(it.P, qx, qy)) {
+			holes = append(holes, it)
+		}
+	}
 
 	out.Conservative = out.Region.ConservativeRect(out.Focus)
 	out.InnerInfluence = innerInfluence(out.Result, inner, universe, qx, qy, out.Region.Holes)
@@ -119,19 +150,6 @@ func windowQuery(ix rtree.Index, w geom.Rect, universe geom.Rect, afterResultPha
 		panic("core: window validity region does not contain the query focus")
 	}
 	return out
-}
-
-// emptyResultBase returns the bounded base rectangle used when the
-// window result is empty: a box around the focus reaching a little past
-// the nearest data point, so only that point's neighborhood contributes
-// Minkowski holes. Any subset of the true validity region containing the
-// focus is a correct (conservative) validity region.
-func emptyResultBase(ix rtree.Index, focus geom.Point, qx, qy float64) geom.Rect {
-	nb, ok := nn.Nearest(ix, focus)
-	if !ok {
-		return geom.R(math.Inf(-1), math.Inf(-1), math.Inf(1), math.Inf(1))
-	}
-	return geom.RectCenteredAt(focus, 2*nb.Dist+2*qx, 2*nb.Dist+2*qy)
 }
 
 // innerInfluence returns the result points that bind a surviving edge of
@@ -146,32 +164,34 @@ func innerInfluence(result []rtree.Item, inner, universe geom.Rect, qx, qy float
 	}
 	type edge struct {
 		universeBound bool
+		vertical      bool    // true: edge at x = coord, bound by a point's x; false: y
 		coord         float64 // the edge's fixed coordinate
-		vertical      bool    // true: edge at x = coord; false: y = coord
-		pick          func(p geom.Point) float64
-		want          float64 // binding point coordinate value
+		want          float64 // the binding point's coordinate
+		best          int     // result index of the binding point of least id
 	}
-	edges := []edge{
-		{inner.MinX <= universe.MinX+geom.Eps, inner.MinX, true, func(p geom.Point) float64 { return p.X }, inner.MinX + qx/2},
-		{inner.MaxX >= universe.MaxX-geom.Eps, inner.MaxX, true, func(p geom.Point) float64 { return p.X }, inner.MaxX - qx/2},
-		{inner.MinY <= universe.MinY+geom.Eps, inner.MinY, false, func(p geom.Point) float64 { return p.Y }, inner.MinY + qy/2},
-		{inner.MaxY >= universe.MaxY-geom.Eps, inner.MaxY, false, func(p geom.Point) float64 { return p.Y }, inner.MaxY - qy/2},
+	edges := [4]edge{
+		{inner.MinX <= universe.MinX+geom.Eps, true, inner.MinX, inner.MinX + qx/2, -1},
+		{inner.MaxX >= universe.MaxX-geom.Eps, true, inner.MaxX, inner.MaxX - qx/2, -1},
+		{inner.MinY <= universe.MinY+geom.Eps, false, inner.MinY, inner.MinY + qy/2, -1},
+		{inner.MaxY >= universe.MaxY-geom.Eps, false, inner.MaxY, inner.MaxY - qy/2, -1},
+	}
+	// One binding object per edge suffices for S_inf: the one of least
+	// id, so the choice does not depend on the result order.
+	for i, it := range result {
+		for k := range edges {
+			e, c := &edges[k], it.P.Y
+			if e.vertical {
+				c = it.P.X
+			}
+			if abs(c-e.want) <= geom.Eps && (e.best < 0 || it.ID < result[e.best].ID) {
+				e.best = i
+			}
+		}
 	}
 	var out []rtree.Item
-	seen := make(map[int64]bool)
 	for _, e := range edges {
-		if e.universeBound || !edgeSurvives(e.vertical, e.coord, inner, holes) {
-			continue
-		}
-		for _, it := range result {
-			if seen[it.ID] {
-				continue
-			}
-			if abs(e.pick(it.P)-e.want) <= geom.Eps {
-				seen[it.ID] = true
-				out = append(out, it)
-				break // one binding object per edge suffices for S_inf
-			}
+		if e.best >= 0 && !e.universeBound && !slices.Contains(out, result[e.best]) && edgeSurvives(e.vertical, e.coord, inner, holes) {
+			out = append(out, result[e.best])
 		}
 	}
 	return out

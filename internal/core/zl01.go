@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"lbsq/internal/geom"
 	"lbsq/internal/rtree"
@@ -58,12 +59,17 @@ type ZL01Client struct {
 	Server *ZL01Server
 	Stats  ClientStats
 
+	// lock, when set, is held around each server query, which locates
+	// the nearest site in the live index (see SR01Client).
+	lock    sync.Locker
 	cached  *ZL01Response
 	expires float64 // absolute time at which the cached answer expires
 }
 
-// NewZL01Client returns a client of the given server.
-func NewZL01Client(s *ZL01Server) *ZL01Client { return &ZL01Client{Server: s} }
+// NewZL01Client returns a client of the given server; lock may be nil.
+func NewZL01Client(s *ZL01Server, lock sync.Locker) *ZL01Client {
+	return &ZL01Client{Server: s, lock: lock}
+}
 
 // At returns the NN at position p and absolute time now. The caller's
 // clock must be monotone. Results can be stale if the client exceeded
@@ -74,7 +80,7 @@ func (c *ZL01Client) At(p geom.Point, now float64) (rtree.Item, error) {
 		c.Stats.CacheHits++
 		return c.cached.NN, nil
 	}
-	r, err := c.Server.Query(p)
+	r, err := locked(c.lock, func() (*ZL01Response, error) { return c.Server.Query(p) })
 	if err != nil {
 		return rtree.Item{}, err
 	}

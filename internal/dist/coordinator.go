@@ -392,22 +392,15 @@ func (c *Coordinator) one(ctx context.Context, req shard.BatchReq) answer {
 	return as[0]
 }
 
-// degrade is the step dist adds after the executor. It drops the
-// duplicates a running rebalance can leave in window results and range
-// outer influence, and when the executor lost groups in a phase that
-// only bounds the validity region (BatchResp.Failed) it shrinks the
-// region so no unknown object in their territory could invalidate it:
+// degrade is the step dist adds after the executor. When the executor
+// lost groups in a phase that only bounds the validity region
+// (BatchResp.Failed), it shrinks the region so no unknown object in
+// their territory could invalidate it:
 // bisector-margin clips for NN (shrinkNNRegion), Minkowski-inflated
 // holes for windows (shrinkWindowRegion), and dead-territory distance
 // guards for ranges (RangeValidity.Valid). The answer is then flagged
 // degraded.
 func (c *Coordinator) degrade(ring *Ring, req shard.BatchReq, a *answer) {
-	if a.Window != nil {
-		a.Window.Result = dedupItems(a.Window.Result)
-	}
-	if a.Range != nil {
-		a.Range.OuterInfluence = dedupItems(a.Range.OuterInfluence)
-	}
 	if len(a.Failed) == 0 {
 		return
 	}
@@ -631,9 +624,7 @@ func (c *Coordinator) Rebalance(ctx context.Context, placement Placement, partit
 	deletes := make([][]rtree.Item, len(c.groups))
 	for gi := range c.groups {
 		//lbsq:allowblock — rebalance holds wmu exclusively to freeze writers while dumping; that stall is the rebalance contract
-		items, err := call(ctx, c, c.groups[gi], func(ctx context.Context, b shard.Backend) ([]rtree.Item, error) {
-			return b.SearchItems(ctx, c.universe)
-		})
+		items, err := c.dump(ctx, c.groups[gi])
 		if err != nil {
 			return 0, fmt.Errorf("dist: rebalance dump, group %d: %w", gi, err)
 		}
@@ -696,6 +687,15 @@ func (c *Coordinator) Rebalance(ctx context.Context, placement Placement, partit
 	return moved, delErr
 }
 
+// dump reads every item a group stores (hedged, from one replica),
+// ring-owned or not.
+func (c *Coordinator) dump(ctx context.Context, g *group) ([]rtree.Item, error) {
+	return call(ctx, c, g, func(ctx context.Context, b shard.Backend) ([]rtree.Item, error) {
+		items, _, err := b.Scan(ctx, c.universe, geom.EmptyRect())
+		return items, err
+	})
+}
+
 // Join adds a node as a new replica of the least-replicated group: the
 // group's data is copied onto it from an existing replica, then it
 // starts serving hedged reads and receiving writes. Returns the group
@@ -720,9 +720,7 @@ func (c *Coordinator) Join(ctx context.Context, addr string) (int, error) {
 		return 0, err
 	}
 	//lbsq:allowblock — join holds wmu exclusively so the copied group image cannot drift while the new replica loads
-	items, err := call(ctx, c, c.groups[best], func(ctx context.Context, b shard.Backend) ([]rtree.Item, error) {
-		return b.SearchItems(ctx, c.universe)
-	})
+	items, err := c.dump(ctx, c.groups[best])
 	if err != nil {
 		return 0, fmt.Errorf("dist: join copy from group %d: %w", best, err)
 	}

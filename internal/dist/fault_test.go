@@ -25,6 +25,7 @@ import (
 	"lbsq/internal/geom"
 	"lbsq/internal/obs"
 	"lbsq/internal/qexec"
+	"lbsq/internal/rtree"
 	"lbsq/internal/shard"
 )
 
@@ -49,7 +50,7 @@ func (t *recordingTransport) Do(ctx context.Context, addr string, body []byte) (
 		ops = make(map[string]int)
 		t.calls[addr] = ops
 	}
-	for _, op := range []string{"knncand", "influence", "window", "rangescan", "rangeouter", "nearest", "route", "count", "search", "stats"} {
+	for _, op := range []string{"knncand", "influence", "scan", "rangescan", "rangeouter", "nearest", "route", "count", "stats"} {
 		if bytes.Contains(body, []byte(`"op":"`+op+`"`)) {
 			ops[op]++
 		}
@@ -396,12 +397,27 @@ func TestDegradedNNShrinksRegion(t *testing.T) {
 // TestDegradedWindowShrinksRegion fails a group whose territory does
 // not intersect the window but does bound its validity region: the
 // result set must stay exact and the degraded region must be a subset
-// of the healthy one.
+// of the healthy one. The group is lost in the outer scan of a window
+// with a result, or in the nearest probe of an empty window.
 func TestDegradedWindowShrinksRegion(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		empty bool   // pick a window with an empty result
+		op    string // the op the victim must have received
+	}{
+		{"outer-scan", false, "scan"},
+		{"empty-result-probe", true, "nearest"},
+	} {
+		t.Run(tc.name, func(t *testing.T) { testDegradedWindow(t, tc.empty, tc.op) })
+	}
+}
+
+func testDegradedWindow(t *testing.T, empty bool, op string) {
 	universe := geom.Rect{MinX: 0, MinY: 0, MaxX: 600, MaxY: 600}
 	items := testItems(120, 10, universe)
 	addrs := startSeededNodes(t, items, universe, 3, 1)
-	ft := dist.NewFaultTransport(&dist.HTTPTransport{})
+	rec := newRecordingTransport(&dist.HTTPTransport{})
+	ft := dist.NewFaultTransport(rec)
 	c := newCoordinator(t, addrs, universe, func(o *dist.Options) { o.Transport = ft })
 	oracle, err := shard.NewCluster(items, universe, shard.Options{Shards: 3})
 	if err != nil {
@@ -410,32 +426,47 @@ func TestDegradedWindowShrinksRegion(t *testing.T) {
 	ctx := context.Background()
 	ring := c.Ring()
 
-	// Find a window inside exactly one group's territory whose inflated
-	// candidate rectangle still overlaps another group — that group is
-	// contacted but its territory does not intersect the window, so its
-	// loss is degradable.
+	// Find a window inside exactly one group's territory whose query
+	// still contacts another group with op — that group's territory
+	// does not intersect the window, so its loss is degradable.
 	rng := rand.New(rand.NewSource(17))
 	const qx, qy = 24, 24
 	var w geom.Rect
-	victim := -1
-	for try := 0; try < 2000 && victim < 0; try++ {
+	victim := ""
+	for try := 0; try < 2000 && victim == ""; try++ {
 		w = geom.RectCenteredAt(randPoint(rng, universe), qx, qy)
 		direct := ring.Overlapping(w)
 		if len(direct) != 1 {
 			continue
 		}
-		for _, gi := range ring.Overlapping(w.Inflate(qx, qy)) {
-			if gi != direct[0] {
-				victim = gi
+		rec.reset()
+		healthy, _, st, err := c.Window(ctx, w)
+		if err != nil || st.Degraded {
+			t.Fatalf("healthy window: err=%v degraded=%v", err, st.Degraded)
+		}
+		if (len(healthy.Result) == 0) != empty {
+			continue
+		}
+		// An empty window loses the group of the nearest point: the
+		// case that could widen the empty-result base.
+		owner := -1
+		if empty {
+			if owner = nearestOwner(items, ring, w.Center()); owner == direct[0] {
+				continue
+			}
+		}
+		for _, addr := range rec.addrsWithOp(op) {
+			if addr != addrs[direct[0]] && (owner < 0 || addr == addrs[owner]) {
+				victim = addr
 				break
 			}
 		}
 	}
-	if victim < 0 {
+	if victim == "" {
 		t.Fatalf("no window found with a degradable neighbor group")
 	}
 
-	ft.Set(addrs[victim], dist.Fault{Drop: true})
+	ft.Set(victim, dist.Fault{Drop: true})
 	got, _, st, err := c.Window(ctx, w)
 	if err != nil {
 		t.Fatalf("Window with dead neighbor: %v", err)
@@ -450,8 +481,12 @@ func TestDegradedWindowShrinksRegion(t *testing.T) {
 	if !reflect.DeepEqual(got.Result, want.Result) {
 		t.Fatalf("degraded window changed the result set:\n got %+v\nwant %+v", got.Result, want.Result)
 	}
-	for i := 0; i < 4000; i++ {
+	// Sample the universe and the degraded region's base rectangle.
+	for i := 0; i < 8000; i++ {
 		p := randPoint(rng, universe)
+		if i%2 == 1 {
+			p = randPoint(rng, got.InnerRect)
+		}
 		if got.Valid(p) && !want.Valid(p) {
 			t.Fatalf("degraded window region not a subset: valid at %v where healthy is not", p)
 		}
@@ -464,6 +499,22 @@ func TestDegradedWindowShrinksRegion(t *testing.T) {
 	if v := metricValue(t, c.Registry(), "lbsq_dist_degraded_total", `op="window"`); v < 1 {
 		t.Fatalf(`lbsq_dist_degraded_total{op="window"} = %v, want ≥ 1`, v)
 	}
+}
+
+// nearestOwner returns the group whose territory alone holds the item
+// nearest to q, or -1 when territories share that point.
+func nearestOwner(items []rtree.Item, ring *dist.Ring, q geom.Point) int {
+	best := items[0]
+	for _, it := range items[1:] {
+		if it.P.Dist(q) < best.P.Dist(q) {
+			best = it
+		}
+	}
+	owners := ring.Overlapping(geom.Rect{MinX: best.P.X, MinY: best.P.Y, MaxX: best.P.X, MaxY: best.P.Y})
+	if len(owners) != 1 {
+		return -1
+	}
+	return owners[0]
 }
 
 // TestDegradedRangeRejectsDeadProximity fails one group's outer-

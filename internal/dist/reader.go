@@ -14,10 +14,10 @@ import (
 // groupReader is one replica group as a shard.Reader, the part the
 // coordinator hands the scatter-gather executor. Every read is a
 // hedged call (see call), so replica selection, breakers and retries
-// stay below the executor; the result-set reads drop items the ring
-// assigns to another group — copies a running rebalance has not yet
-// cleaned up (a no-op in steady state, where every group stores exactly
-// its ring-owned items).
+// stay below the executor; the item reads drop items the ring assigns
+// to another group — copies a running rebalance has not yet cleaned up
+// (a no-op in steady state, where every group stores exactly its
+// ring-owned items).
 type groupReader struct {
 	c    *Coordinator
 	g    *group
@@ -56,11 +56,12 @@ func (r groupReader) Influence(ctx context.Context, q geom.Point, members []rtre
 	})
 }
 
-// Window implements shard.Reader.
-func (r groupReader) Window(ctx context.Context, w geom.Rect) (*core.WindowValidity, core.QueryCost, error) {
-	return callCosted(ctx, r, func(ctx context.Context, b shard.Backend) (*core.WindowValidity, core.QueryCost, error) {
-		return b.Window(ctx, w)
+// Scan implements shard.Reader.
+func (r groupReader) Scan(ctx context.Context, rect, skip geom.Rect) ([]rtree.Item, shard.Cost, error) {
+	items, c, err := callCosted(ctx, r, func(ctx context.Context, b shard.Backend) ([]rtree.Item, shard.Cost, error) {
+		return b.Scan(ctx, rect, skip)
 	})
+	return ownedItems(r.ring, r.g.id, items), c, err
 }
 
 // RangeScan implements shard.Reader.
@@ -81,7 +82,7 @@ func (r groupReader) RangeOuter(ctx context.Context, search geom.Rect, inner []g
 		items, cands, c, err := b.RangeOuter(ctx, search, inner, radius, exclude)
 		return scan{items, cands}, c, err
 	})
-	return s.items, s.cands, c, err
+	return ownedItems(r.ring, r.g.id, s.items), s.cands, c, err
 }
 
 // Nearest implements shard.Reader.
@@ -112,14 +113,6 @@ func (r groupReader) CountWindow(ctx context.Context, w geom.Rect) (int, error) 
 	})
 }
 
-// SearchItems implements shard.Reader.
-func (r groupReader) SearchItems(ctx context.Context, w geom.Rect) ([]rtree.Item, error) {
-	items, err := call(ctx, r.c, r.g, func(ctx context.Context, b shard.Backend) ([]rtree.Item, error) {
-		return b.SearchItems(ctx, w)
-	})
-	return ownedItems(r.ring, r.g.id, items), err
-}
-
 // ownedNeighbors drops neighbors whose ring owner is not g — the
 // transient-duplication filter applied while a rebalance is copying
 // items between groups.
@@ -138,19 +131,6 @@ func ownedItems(ring *Ring, g int, items []rtree.Item) []rtree.Item {
 	out := items[:0:0]
 	for _, it := range items {
 		if ring.OwnerGroup(it.P) == g {
-			out = append(out, it)
-		}
-	}
-	return out
-}
-
-// dedupItems drops repeated ids, keeping first occurrences in order.
-func dedupItems(items []rtree.Item) []rtree.Item {
-	seen := make(map[int64]bool, len(items))
-	out := items[:0:0]
-	for _, it := range items {
-		if !seen[it.ID] {
-			seen[it.ID] = true
 			out = append(out, it)
 		}
 	}

@@ -72,20 +72,15 @@ func (b *RemoteBackend) Influence(ctx context.Context, q geom.Point, members []r
 	return &core.NNValidity{Pairs: res.Part.Pairs, TPQueries: res.Part.TPQueries}, res.Cost, nil
 }
 
-// Window implements shard.Backend.
-func (b *RemoteBackend) Window(ctx context.Context, w geom.Rect) (*core.WindowValidity, core.QueryCost, error) {
-	res, err := b.do(ctx, rpcOp{Op: opWindow, W: w})
-	if err != nil {
-		return nil, core.QueryCost{}, err
+// Scan implements shard.Backend. An empty skip travels as an absent
+// field (JSON has no infinities).
+func (b *RemoteBackend) Scan(ctx context.Context, r, skip geom.Rect) ([]rtree.Item, shard.Cost, error) {
+	op := rpcOp{Op: opScan, W: r}
+	if !skip.IsEmpty() {
+		op.Skip = &skip
 	}
-	if res.Window == nil {
-		return nil, core.QueryCost{}, fmt.Errorf("dist: %s: window reply without part", b.Addr)
-	}
-	var qc core.QueryCost
-	if res.QCost != nil {
-		qc = *res.QCost
-	}
-	return res.Window, qc, nil
+	res, err := b.do(ctx, op)
+	return res.Items, res.Cost, err
 }
 
 // RangeScan implements shard.Backend.
@@ -119,12 +114,6 @@ func (b *RemoteBackend) Route(ctx context.Context, a, to geom.Point) ([]tp.CNNIn
 func (b *RemoteBackend) CountWindow(ctx context.Context, w geom.Rect) (int, error) {
 	res, err := b.do(ctx, rpcOp{Op: opCount, W: w})
 	return res.N, err
-}
-
-// SearchItems implements shard.Backend.
-func (b *RemoteBackend) SearchItems(ctx context.Context, w geom.Rect) ([]rtree.Item, error) {
-	res, err := b.do(ctx, rpcOp{Op: opSearch, W: w})
-	return res.Items, err
 }
 
 // Insert implements shard.Backend.

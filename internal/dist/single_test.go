@@ -16,14 +16,14 @@ import (
 // The single-server oracle. The coordinator and shard.Cluster run the
 // same scatter-gather executor, so their parity alone cannot catch an
 // executor bug; every coordinator answer is also compared with one
-// core.Server over all items (sharded ≡ single server). Results and
-// range answers must be equal and regions equal in area (bisector clips
-// run in another order, so vertices may differ in the last bit). The
-// single server's influence sets are minimal, while a group reports the
-// influence objects of its own larger local region: every single-server
-// influence object must be in the coordinator's set, and the window
-// outer set must carve the single server's region out of its inner
-// rectangle.
+// core.Server over all items (sharded ≡ single server). Results, range
+// and window answers must be equal — a window down to its holes,
+// influence sets and conservative rectangle. NN regions must be equal
+// in area (bisector clips run in another order, so vertices may differ
+// in the last bit); the single server's NN influence set is minimal,
+// while a group reports the influence objects of its own larger local
+// region, so every single-server influence object must be in the
+// coordinator's set.
 
 // newSingle builds the single-server oracle over all items.
 func newSingle(items []rtree.Item, universe geom.Rect) *core.Server {
@@ -105,25 +105,38 @@ func checkSingleKNN(t *testing.T, single *core.Server, q geom.Point, k int, got 
 func checkSingleWindow(t *testing.T, single *core.Server, w geom.Rect, got *core.WindowValidity) {
 	t.Helper()
 	want, _ := single.WindowQuery(w)
-	if !sameIDs(want.Result, got.Result) {
+	switch {
+	case !sameIDs(want.Result, got.Result):
 		t.Fatalf("Window(%v): single result %v, coordinator %v", w, ids(want.Result), ids(got.Result))
-	}
-	if want.InnerRect != got.InnerRect {
+	case want.InnerRect != got.InnerRect:
 		t.Fatalf("Window(%v): single inner rect %v, coordinator %v", w, want.InnerRect, got.InnerRect)
+	case !sameRects(want.Region.Holes, got.Region.Holes):
+		t.Fatalf("Window(%v): single holes %v, coordinator %v", w, want.Region.Holes, got.Region.Holes)
+	case !sameIDs(want.InnerInfluence, got.InnerInfluence):
+		t.Fatalf("Window(%v): single inner influence %v, coordinator %v", w, ids(want.InnerInfluence), ids(got.InnerInfluence))
+	case !sameIDs(want.OuterInfluence, got.OuterInfluence):
+		t.Fatalf("Window(%v): single outer influence %v, coordinator %v", w, ids(want.OuterInfluence), ids(got.OuterInfluence))
+	case want.Conservative != got.Conservative:
+		t.Fatalf("Window(%v): single conservative rect %v, coordinator %v", w, want.Conservative, got.Conservative)
 	}
-	if a, b := want.Region.Area(), got.Region.Area(); !sameArea(a, b) {
-		t.Fatalf("Window(%v): single region area %g, coordinator %g", w, a, b)
+}
+
+// sameRects reports whether a and b hold the same rectangles with the
+// same multiplicities, in any order.
+func sameRects(a, b []geom.Rect) bool {
+	if len(a) != len(b) {
+		return false
 	}
-	if !containsIDs(got.InnerInfluence, want.InnerInfluence) {
-		t.Fatalf("Window(%v): coordinator inner influence misses single %v", w, ids(want.InnerInfluence))
+	n := make(map[geom.Rect]int, len(a))
+	for _, r := range a {
+		n[r]++
 	}
-	carved := geom.NewRectRegion(want.InnerRect)
-	for _, it := range got.OuterInfluence {
-		carved.Subtract(geom.RectCenteredAt(it.P, w.Width(), w.Height()))
+	for _, r := range b {
+		if n[r]--; n[r] < 0 {
+			return false
+		}
 	}
-	if a, b := want.Region.Area(), carved.Area(); !sameArea(a, b) {
-		t.Fatalf("Window(%v): coordinator outer influence carves area %g, single region %g", w, b, a)
-	}
+	return true
 }
 
 func checkSingleRange(t *testing.T, single *core.Server, center geom.Point, radius float64, got *core.RangeValidity) {

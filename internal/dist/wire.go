@@ -27,13 +27,12 @@ import (
 const (
 	opKNNCand    = "knncand"
 	opInfluence  = "influence"
-	opWindow     = "window"
 	opRangeScan  = "rangescan"
 	opRangeOuter = "rangeouter"
 	opNearest    = "nearest"
 	opRoute      = "route"
 	opCount      = "count"
-	opSearch     = "search"
+	opScan       = "scan"
 	opInsert     = "insert"
 	opDelete     = "delete"
 	opLoad       = "load"
@@ -55,7 +54,8 @@ type rpcOp struct {
 	Q       geom.Point   `json:"q"`
 	B       geom.Point   `json:"b"`                 // route end
 	K       int          `json:"k,omitempty"`       // knncand
-	W       geom.Rect    `json:"w"`                 // window/count/search; rangeouter search rect
+	W       geom.Rect    `json:"w"`                 // scan/count rect; rangeouter search rect
+	Skip    *geom.Rect   `json:"skip,omitempty"`    // scan: rect to skip (none when absent)
 	Radius  float64      `json:"radius,omitempty"`  // rangescan, rangeouter
 	Members []rtree.Item `json:"members,omitempty"` // influence
 	Inner   []geom.Disk  `json:"inner,omitempty"`   // rangeouter
@@ -73,19 +73,17 @@ type nnPart struct {
 }
 
 type rpcResult struct {
-	Err       string               `json:"err,omitempty"`
-	Neighbors []nn.Neighbor        `json:"neighbors,omitempty"`
-	Part      *nnPart              `json:"part,omitempty"`
-	Window    *core.WindowValidity `json:"window,omitempty"`
-	Items     []rtree.Item         `json:"items,omitempty"`
-	Cands     int                  `json:"cands,omitempty"`
-	Neighbor  *nn.Neighbor         `json:"neighbor,omitempty"`
-	OK        bool                 `json:"ok,omitempty"`
-	Route     []tp.CNNInterval     `json:"route,omitempty"`
-	N         int                  `json:"n,omitempty"`
-	Stats     *shard.BackendStats  `json:"stats,omitempty"`
-	Cost      shard.Cost           `json:"cost"`
-	QCost     *core.QueryCost      `json:"qcost,omitempty"` // window op
+	Err       string              `json:"err,omitempty"`
+	Neighbors []nn.Neighbor       `json:"neighbors,omitempty"`
+	Part      *nnPart             `json:"part,omitempty"`
+	Items     []rtree.Item        `json:"items,omitempty"`
+	Cands     int                 `json:"cands,omitempty"`
+	Neighbor  *nn.Neighbor        `json:"neighbor,omitempty"`
+	OK        bool                `json:"ok,omitempty"`
+	Route     []tp.CNNInterval    `json:"route,omitempty"`
+	N         int                 `json:"n,omitempty"`
+	Stats     *shard.BackendStats `json:"stats,omitempty"`
+	Cost      shard.Cost          `json:"cost"`
 }
 
 type rpcResponse struct {
@@ -153,13 +151,12 @@ func execOp(ctx context.Context, b shard.Backend, op rpcOp) (res rpcResult) {
 		if err == nil {
 			res.Part = &nnPart{Pairs: part.Pairs, TPQueries: part.TPQueries}
 		}
-	case opWindow:
-		var wv *core.WindowValidity
-		var qc core.QueryCost
-		wv, qc, err = b.Window(ctx, op.W)
-		if err == nil {
-			res.Window, res.QCost = wv, &qc
+	case opScan:
+		skip := geom.EmptyRect()
+		if op.Skip != nil {
+			skip = *op.Skip
 		}
+		res.Items, res.Cost, err = b.Scan(ctx, op.W, skip)
 	case opRangeScan:
 		res.Items, res.Cost, err = b.RangeScan(ctx, op.Q, op.Radius)
 	case opRangeOuter:
@@ -174,8 +171,6 @@ func execOp(ctx context.Context, b shard.Backend, op rpcOp) (res rpcResult) {
 		res.Route, res.Cost, err = b.Route(ctx, op.Q, op.B)
 	case opCount:
 		res.N, err = b.CountWindow(ctx, op.W)
-	case opSearch:
-		res.Items, err = b.SearchItems(ctx, op.W)
 	case opInsert:
 		if op.Item == nil {
 			err = fmt.Errorf("dist: insert without item")

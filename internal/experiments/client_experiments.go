@@ -42,7 +42,7 @@ func ClientSavings(cfg Config) []Table {
 		})
 	}
 
-	naive := core.NewNaiveClient(s, 1)
+	naive := core.NewNaiveClient(s, nil, 1)
 	for _, p := range path {
 		if _, err := naive.At(p); err != nil {
 			panic(err)
@@ -59,7 +59,7 @@ func ClientSavings(cfg Config) []Table {
 	record("validity region (this paper)", vr.Stats)
 
 	for _, m := range []int{4, 16} {
-		sr := core.NewSR01Client(s, 1, m)
+		sr := core.NewSR01Client(s, nil, 1, m)
 		for _, p := range path {
 			if _, err := sr.At(p); err != nil {
 				panic(err)
@@ -68,7 +68,7 @@ func ClientSavings(cfg Config) []Table {
 		record(fmt.Sprintf("SR01 (m=%d)", m), sr.Stats)
 	}
 
-	tp := core.NewTP02Client(s, 1)
+	tp := core.NewTP02Client(s, nil, 1)
 	for i, p := range path {
 		if _, err := tp.At(p, headings[i]); err != nil {
 			panic(err)
@@ -80,7 +80,7 @@ func ClientSavings(cfg Config) []Table {
 	if err != nil {
 		panic(err)
 	}
-	zl := core.NewZL01Client(zs)
+	zl := core.NewZL01Client(zs, nil)
 	for i, p := range path {
 		if _, err := zl.At(p, float64(i)); err != nil {
 			panic(err)

@@ -36,9 +36,12 @@ type Reader interface {
 	// returned part are meaningful; the merged region is rebuilt by the
 	// Executor from the pairs.
 	Influence(ctx context.Context, q geom.Point, members []rtree.Item) (*core.NNValidity, Cost, error)
-	// Window runs the full single-server window algorithm on this
-	// backend's tree — per-shard window parts merge by mergeWindowParts.
-	Window(ctx context.Context, w geom.Rect) (*core.WindowValidity, core.QueryCost, error)
+	// Scan returns the backend's items inside r that lie outside skip
+	// (an empty skip excludes nothing), in tree order — the window
+	// primitive of both phases: the result scan of w, and the outer
+	// scan of the extended query q′ skipping w. It also serves plain
+	// window enumeration.
+	Scan(ctx context.Context, r, skip geom.Rect) ([]rtree.Item, Cost, error)
 	// RangeScan returns the backend's items within radius of center —
 	// the range result-phase primitive.
 	RangeScan(ctx context.Context, center geom.Point, radius float64) ([]rtree.Item, Cost, error)
@@ -55,8 +58,6 @@ type Reader interface {
 	Route(ctx context.Context, a, b geom.Point) ([]tp.CNNInterval, Cost, error)
 	// CountWindow counts the backend's items inside w.
 	CountWindow(ctx context.Context, w geom.Rect) (int, error)
-	// SearchItems returns the backend's items inside w in tree order.
-	SearchItems(ctx context.Context, w geom.Rect) ([]rtree.Item, error)
 }
 
 // Backend is one shard as a whole: the Reader primitives plus the
@@ -179,10 +180,19 @@ func (b *LocalBackend) Influence(ctx context.Context, q geom.Point, members []rt
 	return part, c, nil
 }
 
-// Window implements Backend.
-func (b *LocalBackend) Window(ctx context.Context, w geom.Rect) (wv *core.WindowValidity, cost core.QueryCost, err error) {
-	err = b.read(ctx, func() { wv, cost = b.Srv.WindowQuery(w) })
-	return wv, cost, err
+// Scan implements Backend.
+func (b *LocalBackend) Scan(ctx context.Context, r, skip geom.Rect) (items []rtree.Item, c Cost, err error) {
+	err = b.read(ctx, func() {
+		na0, pa0 := b.Srv.Tree.NodeAccesses(), b.faults()
+		b.Srv.Tree.Search(r, func(it rtree.Item) bool {
+			if !skip.Contains(it.P) {
+				items = append(items, it)
+			}
+			return true
+		})
+		c = b.delta(na0, pa0)
+	})
+	return items, c, err
 }
 
 // RangeScan implements Backend.
@@ -258,12 +268,6 @@ func (b *LocalBackend) Route(ctx context.Context, a, to geom.Point) (ivs []tp.CN
 func (b *LocalBackend) CountWindow(ctx context.Context, w geom.Rect) (n int, err error) {
 	err = b.read(ctx, func() { n = b.Srv.Tree.CountWindow(w) })
 	return n, err
-}
-
-// SearchItems implements Backend.
-func (b *LocalBackend) SearchItems(ctx context.Context, w geom.Rect) (items []rtree.Item, err error) {
-	err = b.read(ctx, func() { items = b.Srv.Tree.SearchItems(w) })
-	return items, err
 }
 
 // Insert implements Backend.

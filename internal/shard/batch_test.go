@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -143,14 +144,13 @@ func checkBatchResp(t *testing.T, c *Cluster, req BatchReq, got BatchResp) {
 }
 
 // checkSingle compares one sharded answer with the single server's
-// answer over all items (sharded ≡ single server). Results and range
-// answers must be equal. Regions must be equal in area (bisector clips
-// run in another order, so vertices may differ in the last bit), and
-// the window inner rectangle exactly. The single server's influence
-// sets are minimal, while a shard reports the influence objects of its
-// own larger local region: every single-server influence object must
-// be in the sharded set, and the sharded window outer set must carve
-// the single server's region out of its inner rectangle.
+// answer over all items (sharded ≡ single server). Results, range and
+// window answers must be equal (windowDiff). NN regions must be equal
+// in area (bisector clips run in another order, so vertices may differ
+// in the last bit); the single server's NN influence set is minimal,
+// while a shard reports the influence objects of its own larger local
+// region, so every single-server influence object must be in the
+// sharded set.
 func checkSingle(t *testing.T, single *core.Server, req BatchReq, got BatchResp) {
 	t.Helper()
 	switch req.Op {
@@ -185,25 +185,8 @@ func checkSingle(t *testing.T, single *core.Server, req BatchReq, got BatchResp)
 		}
 	case BatchWindow:
 		want, _ := single.WindowQuery(req.W)
-		wv := got.Window
-		if !sameIDs(sortedIDs(want.Result), sortedIDs(wv.Result)) {
-			t.Fatalf("window %v: single result %d items, sharded %d", req.W, len(want.Result), len(wv.Result))
-		}
-		if want.InnerRect != wv.InnerRect {
-			t.Fatalf("window %v: single inner rect %v, sharded %v", req.W, want.InnerRect, wv.InnerRect)
-		}
-		if a, b := want.Region.Area(), wv.Region.Area(); !sameArea(a, b) {
-			t.Fatalf("window %v: single region area %g, sharded %g", req.W, a, b)
-		}
-		if !containsIDs(wv.InnerInfluence, want.InnerInfluence) {
-			t.Fatalf("window %v: sharded inner influence misses single %v", req.W, sortedIDs(want.InnerInfluence))
-		}
-		carved := geom.NewRectRegion(want.InnerRect)
-		for _, it := range wv.OuterInfluence {
-			carved.Subtract(geom.RectCenteredAt(it.P, req.W.Width(), req.W.Height()))
-		}
-		if a, b := want.Region.Area(), carved.Area(); !sameArea(a, b) {
-			t.Fatalf("window %v: sharded outer influence carves area %g, single region %g", req.W, b, a)
+		if diff := windowDiff(want, got.Window); diff != "" {
+			t.Fatalf("window %v: %s", req.W, diff)
 		}
 	case BatchRange:
 		want, _ := single.RangeQuery(req.Q, req.Radius)
@@ -225,6 +208,46 @@ func checkSingle(t *testing.T, single *core.Server, req BatchReq, got BatchResp)
 			t.Fatalf("search %v: single %d items, sharded %d", req.W, len(want), len(got.Items))
 		}
 	}
+}
+
+// windowDiff describes how a sharded window answer differs from the
+// single server's, or returns "" when they are equal: the same result
+// and influence id sets, the same inner and conservative rectangles
+// exactly, and the same multiset of holes.
+func windowDiff(want, got *core.WindowValidity) string {
+	switch {
+	case !sameIDs(sortedIDs(want.Result), sortedIDs(got.Result)):
+		return fmt.Sprintf("single result %v, sharded %v", sortedIDs(want.Result), sortedIDs(got.Result))
+	case want.InnerRect != got.InnerRect:
+		return fmt.Sprintf("single inner rect %v, sharded %v", want.InnerRect, got.InnerRect)
+	case !sameRects(want.Region.Holes, got.Region.Holes):
+		return fmt.Sprintf("single holes %v, sharded %v", want.Region.Holes, got.Region.Holes)
+	case !sameIDs(sortedIDs(want.InnerInfluence), sortedIDs(got.InnerInfluence)):
+		return fmt.Sprintf("single inner influence %v, sharded %v", sortedIDs(want.InnerInfluence), sortedIDs(got.InnerInfluence))
+	case !sameIDs(sortedIDs(want.OuterInfluence), sortedIDs(got.OuterInfluence)):
+		return fmt.Sprintf("single outer influence %v, sharded %v", sortedIDs(want.OuterInfluence), sortedIDs(got.OuterInfluence))
+	case want.Conservative != got.Conservative:
+		return fmt.Sprintf("single conservative rect %v, sharded %v", want.Conservative, got.Conservative)
+	}
+	return ""
+}
+
+// sameRects reports whether a and b hold the same rectangles with the
+// same multiplicities, in any order.
+func sameRects(a, b []geom.Rect) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	n := make(map[geom.Rect]int, len(a))
+	for _, r := range a {
+		n[r]++
+	}
+	for _, r := range b {
+		if n[r]--; n[r] < 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // containsIDs reports whether every item of sub is in set (by id).

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -23,11 +24,12 @@ import (
 // runs with one scatter per round: every part receives ONE task per
 // round carrying all the work the batch has for it. Rounds:
 //
-//	round 1: NN/kNN owner-part candidates, window queries on routed
-//	         parts, range result scans, count/search/route partials
-//	round 2: NN/kNN pruned candidate fan-out, window empty-result
-//	         fallback, range outer scans or empty-result NN probes
-//	round 3: NN influence on the owner part (bounds the region)
+//	round 1: NN/kNN owner-part candidates, window and range result
+//	         scans, count/search/route partials
+//	round 2: NN/kNN pruned candidate fan-out, window and range outer
+//	         scans or their empty-result NN probes
+//	round 3: NN influence on the owner part (bounds the region), the
+//	         window outer scan after an empty result
 //	round 4: NN influence on the remaining parts within reach
 //
 // Rounds with no work are skipped, so a batch costs at most four
@@ -38,12 +40,13 @@ import (
 // clipping) is done between rounds, in part order.
 //
 // Failures. A part error in a phase that determines the result set
-// (k-NN candidates, range result scans and empty-result probes, window
-// parts whose territory meets the window, count, search, route) fails
-// the request: BatchResp then carries only Err and the cost paid. An
-// error in a phase that only bounds the validity region (NN influence,
-// window parts away from the window, range outer scans) drops the part
-// from the merge and lists it in BatchResp.Failed; the answer is exact
+// (k-NN candidates, window and range result scans, range empty-result
+// probes, window probes and outer scans on parts whose territory meets
+// the window, count, search, route) fails the request: BatchResp then
+// carries only Err and the cost paid. An error in a phase that only
+// bounds the validity region (NN influence, window probes and outer
+// scans on parts away from the window, range outer scans) drops the
+// part from the merge and lists it in BatchResp.Failed; the answer is exact
 // over the other parts, and the caller must shrink its region before
 // serving it (internal/dist does). A cancelled context aborts the whole
 // batch between rounds.
@@ -309,9 +312,8 @@ type batchState struct {
 
 	// Per-part phase costs, accumulated by jobs into their own slot
 	// and summed when the request finishes.
-	resCosts []Cost           // NN/kNN candidates, range, route
-	infCosts []Cost           // NN influence
-	wCosts   []core.QueryCost // window queries (both phases)
+	resCosts []Cost // result phases
+	infCosts []Cost // influence phases: NN influence, window outer scans
 
 	// NN/kNN state.
 	order   []int
@@ -321,13 +323,13 @@ type batchState struct {
 	dk      float64
 	parts   []*core.NNValidity
 
-	// Window state.
-	wvs []*core.WindowValidity
-
-	// Range, count, search and route state.
+	// Window, range, count, search and route state. A window keeps
+	// its global result in members and its inner rectangle in inner;
+	// search is the range's outer search rectangle.
 	items   [][]rtree.Item
 	counts  []int
 	dists   []float64
+	inner   geom.Rect
 	search  geom.Rect
 	exclude []int64
 	routes  [][]tp.CNNInterval
@@ -400,12 +402,6 @@ func (st *batchState) sumCosts() {
 	for _, c := range st.infCosts {
 		st.resp.Cost.InfNA += c.NA
 		st.resp.Cost.InfPA += c.PA
-	}
-	for _, qc := range st.wCosts {
-		st.resp.Cost.ResultNA += qc.ResultNA
-		st.resp.Cost.ResultPA += qc.ResultPA
-		st.resp.Cost.InfNA += qc.InfNA
-		st.resp.Cost.InfPA += qc.InfPA
 	}
 }
 
@@ -587,59 +583,122 @@ func (e *Executor) afterNN(st *batchState, round int) {
 
 // --- window ---------------------------------------------------------------
 
-// planWindow routes the window query to the parts overlapping the
-// window inflated by one window extent — every result point lies in w,
-// and every outer point whose Minkowski rectangle can reach the merged
-// validity region lies within w ⊕ (qx, qy), so untouched parts cannot
-// influence the answer. Each routed part runs the full single-server
-// window algorithm (merged by mergeWindowParts). An empty merged
-// result falls back to the remaining parts: the empty-result validity
-// region is bounded by the distance to the globally nearest point,
-// which only all parts together know.
+// planWindow mirrors the single-server window algorithm (Sec. 4) phase
+// by phase, so the answer is the single server's:
+//
+//  1. Result phase: parts meeting w scan it; core.WindowInner builds
+//     the global inner rectangle from the union.
+//  2. Influence phase: parts meeting q′ = inner ⊕ (qx/2, qy/2) return
+//     their items in q′ outside w, and core.WindowRegion builds the
+//     region from these outer candidates once.
+//
+// An empty result first probes every part's nearest point (round 2),
+// which bounds the empty-result base; the outer scan then runs in round
+// 3 and skips the parts the probe lost. Scans and probes are charged to
+// the phase they serve.
 func (e *Executor) planWindow(st *batchState, round int, jobs [][]partJob) {
 	w := st.req.W
-	switch round {
-	case 1:
-		idxs := e.overlapping(w.Inflate(w.Width(), w.Height()))
-		if len(idxs) == 0 {
-			for i := range e.Parts {
-				idxs = append(idxs, i)
-			}
+	switch {
+	case round == 1:
+		st.slots(len(e.Parts))
+		st.infCosts = make([]Cost, len(e.Parts))
+		st.items = make([][]rtree.Item, len(e.Parts))
+		for _, i := range e.overlapping(w) {
+			st.scanJob(jobs, i, w, geom.EmptyRect(), st.resCosts)
 		}
-		st.errs = make([]error, len(e.Parts))
-		st.wvs = make([]*core.WindowValidity, len(e.Parts))
-		st.wCosts = make([]core.QueryCost, len(e.Parts))
-		for _, i := range idxs {
-			st.windowJob(jobs, i)
-		}
-	case 2:
-		if resultCount(st.wvs) > 0 || len(st.touched) == len(e.Parts) {
-			return
-		}
+	case round == 2 && len(st.members) == 0:
+		st.dists = make([]float64, len(e.Parts))
 		for i := range e.Parts {
-			if !st.touched[i] {
-				st.windowJob(jobs, i)
+			st.nearestJob(jobs, i, w.Center())
+		}
+	case round == 2 || round == 3:
+		q := st.inner.Inflate(w.Width()/2, w.Height()/2)
+		for _, i := range e.overlapping(q) {
+			if !slices.Contains(st.resp.Failed, i) {
+				st.scanJob(jobs, i, q, w, st.infCosts)
 			}
 		}
 	}
 }
 
-// windowJob queues the full single-server window query on part i.
-func (st *batchState) windowJob(jobs [][]partJob, i int) {
-	st.queue(jobs, i, func(ctx context.Context, r Reader) {
-		st.wvs[i], st.wCosts[i], st.errs[i] = r.Window(ctx, st.req.W)
+// scanJob queues a scan of r skipping skip on part i, charging the
+// cost to the given per-part phase slots.
+func (st *batchState) scanJob(jobs [][]partJob, i int, r, skip geom.Rect, costs []Cost) {
+	st.queue(jobs, i, func(ctx context.Context, rd Reader) {
+		var c Cost
+		st.items[i], c, st.errs[i] = rd.Scan(ctx, r, skip)
+		costs[i].NA += c.NA
+		costs[i].PA += c.PA
 	})
+}
+
+// nearestJob queues a probe for part i's nearest point to q; a part
+// without points reports +Inf.
+func (st *batchState) nearestJob(jobs [][]partJob, i int, q geom.Point) {
+	st.queue(jobs, i, func(ctx context.Context, r Reader) {
+		nb, ok, c, err := r.Nearest(ctx, q)
+		st.dists[i] = math.Inf(1)
+		if ok {
+			st.dists[i] = nb.Dist
+		}
+		st.errs[i] = err
+		st.addCost(i, c)
+	})
+}
+
+// nearest returns the least probed distance (+Inf when every part is
+// empty).
+func (st *batchState) nearest() float64 {
+	d := math.Inf(1)
+	for _, di := range st.dists {
+		if di < d {
+			d = di
+		}
+	}
+	return d
 }
 
 func (e *Executor) afterWindow(st *batchState, round int) {
 	w := st.req.W
-	// A part whose territory meets the window holds result points; a
-	// part away from it only bounds the region.
-	if !st.settle("window result phase", func(i int) bool { return !e.Parts[i].meets(w) }) || round == 1 {
-		return
+	switch {
+	case round == 1:
+		if !st.settle("window result phase", nil) {
+			return
+		}
+		for _, i := range st.ran {
+			st.members = append(st.members, st.items[i]...)
+		}
+		if len(st.members) > 0 {
+			st.inner = core.WindowInner(w, st.members, 0, e.Universe)
+		}
+	case round == 2 && len(st.members) == 0:
+		// The empty result is exact (round 1 settled every part meeting
+		// w). A part lost away from w has its nearest point no closer
+		// than its territory, so the base stays inside the healthy one.
+		if !st.settle("window empty-result probe", func(i int) bool { return !e.Parts[i].meets(w) }) {
+			return
+		}
+		for _, i := range st.resp.Failed {
+			if d2, ok := e.Parts[i].minDist2(w.Center()); ok {
+				st.dists[i] = math.Sqrt(d2)
+			}
+		}
+		st.inner = core.WindowInner(w, nil, st.nearest(), e.Universe)
+	default:
+		// Shrinking by the territory of a part meeting w would cut out
+		// the focus itself, so only parts away from w may be lost.
+		if !st.settle("window influence phase", func(i int) bool { return !e.Parts[i].meets(w) }) {
+			return
+		}
+		var cands []rtree.Item
+		for _, i := range st.ran {
+			if st.errs[i] == nil {
+				cands = append(cands, st.items[i]...)
+			}
+		}
+		st.resp.Window = core.WindowRegion(w, st.members, st.inner, e.Universe, cands)
+		st.finish()
 	}
-	st.resp.Window = mergeWindowParts(e.Universe, w, st.wvs)
-	st.finish()
 }
 
 // --- range ----------------------------------------------------------------
@@ -681,15 +740,7 @@ func (e *Executor) planRange(st *batchState, round int, jobs [][]partJob) {
 		if len(st.resp.Range.Result) == 0 {
 			st.dists = make([]float64, len(e.Parts))
 			for i := range e.Parts {
-				st.queue(jobs, i, func(ctx context.Context, r Reader) {
-					nb, ok, c, err := r.Nearest(ctx, center)
-					st.dists[i] = math.Inf(1)
-					if ok {
-						st.dists[i] = nb.Dist
-					}
-					st.errs[i] = err
-					st.addCost(i, c)
-				})
+				st.nearestJob(jobs, i, center)
 			}
 			return
 		}
@@ -728,13 +779,7 @@ func (e *Executor) afterRange(st *batchState, round int) {
 		if !st.settle("range fallback", nil) {
 			return
 		}
-		d := math.Inf(1)
-		for _, di := range st.dists {
-			if di < d {
-				d = di
-			}
-		}
-		if !math.IsInf(d, 1) { // an empty dataset is valid everywhere
+		if d := st.nearest(); !math.IsInf(d, 1) { // an empty dataset is valid everywhere
 			rv.Inner.Add(geom.Disk{C: st.req.Q, R: math.Max(0, d-rv.Radius)})
 		}
 		st.finish()
@@ -775,7 +820,7 @@ func (e *Executor) planEnumeration(st *batchState, jobs [][]partJob) {
 		st.items = make([][]rtree.Item, n)
 		for _, i := range e.overlapping(req.W) {
 			st.queue(jobs, i, func(ctx context.Context, r Reader) {
-				st.items[i], st.errs[i] = r.SearchItems(ctx, req.W)
+				st.items[i], _, st.errs[i] = r.Scan(ctx, req.W, geom.EmptyRect())
 			})
 		}
 	case BatchRoute:

@@ -11,11 +11,12 @@ import (
 )
 
 // The merges of the scatter-gather executor: each folds the per-part
-// answers of one query phase into the global answer. Validity regions
-// merge by intersection — the NN region is the universe clipped by
-// every influence pair's bisector, the window region the intersection
-// of the inner rectangles minus every Minkowski hole — so the merged
-// answer equals the single-server answer over the union of the parts.
+// answers of one query phase into the global answer. The NN region
+// merges by intersection — the universe clipped by every influence
+// pair's bisector — so the merged answer equals the single-server
+// answer over the union of the parts. Window answers need no merge:
+// the executor gathers the global result and outer candidates, and
+// core.WindowRegion builds the region from them.
 
 // nnMerger accumulates per-part influence parts into the global NN
 // validity answer: the merged region is the universe clipped by every
@@ -99,69 +100,6 @@ func mergeNeighborParts(found [][]nn.Neighbor) []nn.Neighbor {
 		return all[i].Item.ID < all[j].Item.ID
 	})
 	return all
-}
-
-// mergeWindowParts merges per-part window answers (nil entries are
-// parts that did not run or failed) into the global validity answer:
-// base = ∩ per-part inner rectangles, holes = all per-part Minkowski
-// holes, influence sets deduplicated with outer objects re-filtered
-// against the merged (smaller) base. The global result is unchanged
-// exactly while every part's local result is unchanged, so the merge
-// equals the single-server region.
-func mergeWindowParts(universe geom.Rect, w geom.Rect, wvs []*core.WindowValidity) *core.WindowValidity {
-	qx, qy := w.Width(), w.Height()
-	out := &core.WindowValidity{Window: w, Focus: w.Center()}
-	base := universe
-	for _, wv := range wvs {
-		if wv == nil {
-			continue
-		}
-		out.Result = append(out.Result, wv.Result...)
-		base = base.Intersect(wv.InnerRect)
-		out.CandidateOuter += wv.CandidateOuter
-	}
-	out.InnerRect = base
-	out.Region = geom.NewRectRegion(base)
-	seenInner := make(map[int64]bool)
-	seenOuter := make(map[int64]bool)
-	for _, wv := range wvs {
-		if wv == nil {
-			continue
-		}
-		for _, h := range wv.Region.Holes {
-			out.Region.Subtract(h)
-		}
-		for _, it := range wv.InnerInfluence {
-			if !seenInner[it.ID] {
-				seenInner[it.ID] = true
-				out.InnerInfluence = append(out.InnerInfluence, it)
-			}
-		}
-		for _, it := range wv.OuterInfluence {
-			// Keep only outer objects whose Minkowski rectangle still
-			// reaches the merged (smaller) base.
-			mink := geom.RectCenteredAt(it.P, qx, qy).Intersect(base)
-			if mink.IsEmpty() || mink.Area() <= geom.Eps*geom.Eps {
-				continue
-			}
-			if !seenOuter[it.ID] {
-				seenOuter[it.ID] = true
-				out.OuterInfluence = append(out.OuterInfluence, it)
-			}
-		}
-	}
-	out.Conservative = out.Region.ConservativeRect(out.Focus)
-	return out
-}
-
-func resultCount(wvs []*core.WindowValidity) int {
-	n := 0
-	for _, wv := range wvs {
-		if wv != nil {
-			n += len(wv.Result)
-		}
-	}
-	return n
 }
 
 // rangeInnerRegion fills rv.Inner and rv.InnerInfluence from the merged

@@ -1010,11 +1010,13 @@ func (l lockedServer) UniverseRect() Rect { return l.db.server.UniverseRect() }
 // NewSR01Client returns the [SR01] baseline client (m ≥ k buffered
 // neighbors). Baseline clients require an unsharded DB: they replay the
 // paper's single-server experiments (ErrShardedUnsupported otherwise).
+// Like the mobile clients, each baseline query runs under the DB's read
+// lock, so a client may move while Insert or Delete runs.
 func (db *DB) NewSR01Client(k, m int) (*SR01Client, error) {
 	if db.server == nil {
 		return nil, fmt.Errorf("lbsq: NewSR01Client: %w", ErrShardedUnsupported)
 	}
-	return core.NewSR01Client(db.server, k, m), nil
+	return core.NewSR01Client(db.server, db.mu.RLocker(), k, m), nil
 }
 
 // NewTP02Client returns the [TP02] baseline client. Baseline clients
@@ -1023,7 +1025,7 @@ func (db *DB) NewTP02Client(k int) (*TP02Client, error) {
 	if db.server == nil {
 		return nil, fmt.Errorf("lbsq: NewTP02Client: %w", ErrShardedUnsupported)
 	}
-	return core.NewTP02Client(db.server, k), nil
+	return core.NewTP02Client(db.server, db.mu.RLocker(), k), nil
 }
 
 // NewNaiveClient returns the conventional re-query-always client.
@@ -1033,22 +1035,27 @@ func (db *DB) NewNaiveClient(k int) (*NaiveClient, error) {
 	if db.server == nil {
 		return nil, fmt.Errorf("lbsq: NewNaiveClient: %w", ErrShardedUnsupported)
 	}
-	return core.NewNaiveClient(db.server, k), nil
+	return core.NewNaiveClient(db.server, db.mu.RLocker(), k), nil
 }
 
 // NewZL01Client precomputes the Voronoi diagram and returns the [ZL01]
-// baseline client, which assumes clients move at most at maxSpeed.
+// baseline client, which assumes clients move at most at maxSpeed. The
+// build and each query (a nearest-site lookup) hold the DB's read lock;
+// the diagram is not maintained under writes (the scheme's documented
+// cost), so a query whose nearest site was inserted later fails.
 // Baseline clients require an unsharded DB (ErrShardedUnsupported
 // otherwise).
 func (db *DB) NewZL01Client(maxSpeed float64) (*ZL01Client, error) {
 	if db.server == nil {
 		return nil, fmt.Errorf("lbsq: NewZL01Client: %w", ErrShardedUnsupported)
 	}
+	db.mu.RLock()
 	s, err := core.NewZL01Server(db.server.Index, db.server.Universe, maxSpeed)
+	db.mu.RUnlock()
 	if err != nil {
 		return nil, err
 	}
-	return core.NewZL01Client(s), nil
+	return core.NewZL01Client(s, db.mu.RLocker()), nil
 }
 
 // EncodeNN serializes an NN response into the compact wire form the
